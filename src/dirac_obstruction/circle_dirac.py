@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
@@ -65,8 +64,6 @@ class SpinStructure:
 
     @classmethod
     def parse(cls, text: Union[str, int, float, Fraction]) -> "SpinStructure":
-        if isinstance(text, str):
-            return cls(Fraction(text))
         return cls(Fraction(text))
 
     def to_json(self) -> str:
@@ -217,6 +214,8 @@ def _unitary_eigensystem(matrix: np.ndarray, u_tol: float, r_tol: float):
     triangular factor is diagonal up to roundoff, so the Schur basis is an
     eigenbasis.  Each pair is checked against the residual bound r_tol.
     """
+    import scipy.linalg  # the only scipy use; deferred so importing the package stays light
+
     _require_unitary(matrix, u_tol)
     t, z = scipy.linalg.schur(matrix, output="complex")
     raw = np.angle(np.diagonal(t)) / (2.0 * math.pi)
@@ -297,11 +296,33 @@ def kernel_dim(
     return count
 
 
-def _angle_blocks(angles: Sequence[float], delta: float, n_modes: int, scale: float) -> list[np.ndarray]:
+def mode_blocks(log: np.ndarray, delta: float, n_modes: int, scale: float = 1.0) -> np.ndarray:
+    """Mode blocks 2*pi*scale*((n + delta) I + log), n = -N..N, as a new axis.
+
+    `log` is a (..., k, k) stack of Hermitian angle matrices; the result has
+    shape (..., 2N+1, k, k), so a whole grid of holonomies is built at once.
+    """
+    log = np.asarray(log, dtype=complex)
     quantum = 2.0 * math.pi * scale
-    base = np.diag(np.asarray(angles, dtype=float)).astype(complex)
-    eye = np.eye(len(angles), dtype=complex)
-    return [quantum * ((n + delta) * eye + base) for n in range(-n_modes, n_modes + 1)]
+    shifts = np.arange(-n_modes, n_modes + 1) + delta
+    eye = np.eye(log.shape[-1], dtype=complex)
+    return quantum * (shifts[:, None, None] * eye + log[..., None, :, :])
+
+
+def dense_operator(blocks: np.ndarray) -> np.ndarray:
+    """Dense (..., B*k, B*k) matrices with the (..., B, k, k) blocks on the diagonal."""
+    *lead, b, k, _ = blocks.shape
+    out = np.zeros((*lead, b, k, b, k), dtype=blocks.dtype)
+    for i in range(b):
+        out[..., i, :, i, :] = blocks[..., i, :, :]
+    return out.reshape(*lead, b * k, b * k)
+
+
+def _check_truncation(n_modes: int, scale: float) -> None:
+    if n_modes < 1:
+        raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
+    if scale <= 0:
+        raise ValidationError(f"scale must be positive, got {scale}")
 
 
 def truncation_blocks(
@@ -312,17 +333,11 @@ def truncation_blocks(
     u_tol: float = U_TOL,
     r_tol: float = R_TOL,
     scale: float = 1.0,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Per-mode k x k Hermitian blocks of the truncated operator, n = -N..N."""
-    if n_modes < 1:
-        raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
-    if scale <= 0:
-        raise ValidationError(f"scale must be positive, got {scale}")
-    quantum = 2.0 * math.pi * scale
+    _check_truncation(n_modes, scale)
     log = holonomy_log(h, u_tol=u_tol, r_tol=r_tol)
-    eye = np.eye(h.k, dtype=complex)
-    delta = float(s.delta)
-    return [quantum * ((n + delta) * eye + log) for n in range(-n_modes, n_modes + 1)]
+    return mode_blocks(log, float(s.delta), n_modes, scale)
 
 
 def fourier_truncation(
@@ -335,8 +350,7 @@ def fourier_truncation(
     scale: float = 1.0,
 ) -> np.ndarray:
     """Block-diagonal Hermitian truncation of size k*(2N+1), modes |n| <= N."""
-    blocks = truncation_blocks(h, s, n_modes, u_tol=u_tol, r_tol=r_tol, scale=scale)
-    return scipy.linalg.block_diag(*blocks)
+    return dense_operator(truncation_blocks(h, s, n_modes, u_tol=u_tol, r_tol=r_tol, scale=scale))
 
 
 def truncation_from_angles(
@@ -353,11 +367,9 @@ def truncation_from_angles(
     need: the matrix at angle 1 is the ladder of angle 0 shifted by one full
     quantum, not the same matrix.
     """
-    if n_modes < 1:
-        raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
-    return scipy.linalg.block_diag(
-        *_angle_blocks([float(a) for a in angles], float(delta), n_modes, scale)
-    )
+    _check_truncation(n_modes, scale)
+    log = np.diag(np.asarray(angles, dtype=float))
+    return dense_operator(mode_blocks(log, float(delta), n_modes, scale))
 
 
 def truncation_spectrum(
@@ -375,9 +387,6 @@ def truncation_spectrum(
     if epsilon <= 0:
         raise ValidationError(f"window radius must be positive, got {epsilon}")
     blocks = truncation_blocks(h, s, n_modes, u_tol=u_tol, r_tol=r_tol, scale=scale)
-    values: list[float] = []
-    for block in blocks:
-        for v in np.linalg.eigvalsh(block):
-            if abs(v) < epsilon:
-                values.append(float(v))
+    w = np.linalg.eigvalsh(blocks).ravel()
+    values = [float(v) for v in w[np.abs(w) < epsilon]]
     return SpectrumWindow(epsilon, cluster_values(values, c_tol))

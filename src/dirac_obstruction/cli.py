@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-from ._parallel import default_jobs
 from .circle_dirac import (
     C_TOL,
     I_TOL,
@@ -43,14 +42,11 @@ class RunConfig:
     inputs: tuple[str, ...]
     output: str | None
     tolerances: dict[str, float]
-    jobs: int
 
     def __post_init__(self) -> None:
         for name, value in self.tolerances.items():
             if value <= 0:
                 raise ValidationError(f"tolerance {name} must be positive, got {value}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _positive_float(text: str) -> float:
@@ -69,7 +65,6 @@ def _config(args: argparse.Namespace, tol_names: tuple[str, ...], inputs: tuple[
         inputs=inputs,
         output=getattr(args, "output", None),
         tolerances={name: getattr(args, name) for name in tol_names},
-        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -160,7 +155,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 def _cmd_cover(args: argparse.Namespace) -> int:
     cfg = _config(args, ("inv_tol", "h_tol"), inputs=(args.family,))
     fam = SampledFamily.load(args.family, h_tol=args.h_tol)
-    report = build_cover(fam, args.k, args.epsilon, inv_tol=args.inv_tol, jobs=cfg.jobs)
+    report = build_cover(fam, args.k, args.epsilon, inv_tol=args.inv_tol)
     doc = report.to_json()
     doc["tolerances"] = cfg.tolerances
     _emit(_dump_json(doc), cfg.output)
@@ -191,7 +186,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _parse_epsilons(args.epsilons),
         bounded=args.bounded,
         cover_check=not args.skip_cover,
-        jobs=cfg.jobs,
         b_tol=args.b_tol,
         inv_tol=args.inv_tol,
         i_tol=args.i_tol,
@@ -214,7 +208,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     fam = SampledFamily.load(args.family, h_tol=args.h_tol)
     ids = tuple(t.strip() for t in args.path.split(",") if t.strip())
     path = PathSpec(ids, closed=args.closed)
-    flow = spectral_flow(fam, path, args.eta, jobs=cfg.jobs)
+    flow = spectral_flow(fam, path, args.eta)
     _emit(f"{flow}\n", cfg.output)
     return EXIT_OK
 
@@ -223,10 +217,6 @@ def _add_holonomy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("holonomy", nargs="?", default=None, help="holonomy JSON file")
     p.add_argument("--angles", default=None, help="comma-separated angles (floats or p/q) instead of a file")
     p.add_argument("--delta", default="1/2", help="spin phase exponent, 0 or 1/2 (default 1/2)")
-
-
-def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=default_jobs(), help="worker threads (env DIRAC_OBSTRUCTION_JOBS)")
 
 
 def _tol_arg(p: argparse.ArgumentParser, flag: str, default: float, doc: str) -> None:
@@ -270,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_positive_float, required=True, help="window radius")
     _tol_arg(p, "--inv-tol", INV_TOL, "invertibility threshold")
     _tol_arg(p, "--h-tol", H_TOL, "Hermitian deviation tolerance")
-    _add_jobs_arg(p)
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(handler=_cmd_cover)
 
@@ -286,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     _tol_arg(p, "--b-tol", B_TOL, "window boundary guard")
     _tol_arg(p, "--inv-tol", INV_TOL, "invertibility threshold")
     _tol_arg(p, "--i-tol", I_TOL, "integrality tolerance")
-    _add_jobs_arg(p)
     p.add_argument("--output", default=None, help="write the verdict JSON here instead of stdout")
     p.set_defaults(handler=_cmd_verify)
 
@@ -296,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closed", action="store_true", help="append the wrap-around step")
     p.add_argument("--eta", type=_positive_float, required=True, help="step fineness / endpoint gap guard")
     _tol_arg(p, "--h-tol", H_TOL, "Hermitian deviation tolerance")
-    _add_jobs_arg(p)
     p.add_argument("--output", default=None, help="write the integer here instead of stdout")
     p.set_defaults(handler=_cmd_flow)
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import (
     BoundaryAmbiguityError,
     EndpointDegeneracyError,
@@ -107,26 +106,40 @@ def shift_deform(matrix, j: int, k: int, epsilon: float, *, h_tol: float = H_TOL
     return (out + out.conj().T) / 2.0
 
 
-def count_in_window(eigenvalues, epsilon: float, *, b_tol: float = B_TOL, label: str = "") -> int:
-    """Count values strictly inside (-epsilon, epsilon).
+def count_in_window(
+    eigenvalues,
+    epsilon: float,
+    *,
+    b_tol: float = B_TOL,
+    label: str | Callable[[int], str] = "",
+) -> int | np.ndarray:
+    """Count values strictly inside (-epsilon, epsilon) along the last axis.
 
     Raises BoundaryAmbiguityError when a value sits within b_tol of either
     edge: the open-interval count could flip under perturbation, so the
-    caller must move epsilon instead of trusting a side.
+    caller must move epsilon instead of trusting a side.  A 1-d spectrum
+    gives an int; a stack of spectra gives one count per row, and the error
+    names the first offending row in C order, through `label(row)` when
+    `label` is callable.
     """
     if epsilon <= 0:
         raise ValidationError(f"window radius must be positive, got {epsilon}")
     w = np.asarray(eigenvalues, dtype=float)
     if w.size:
-        edge_dist = np.abs(np.abs(w) - epsilon)
-        nearest = int(np.argmin(edge_dist))
-        if edge_dist[nearest] <= b_tol:
-            where = f" at {label}" if label else ""
+        rows = w.reshape(-1, w.shape[-1])
+        edge_dist = np.abs(np.abs(rows) - epsilon)
+        near = edge_dist.min(axis=1) <= b_tol
+        if near.any():
+            row = int(np.argmax(near))
+            nearest = int(np.argmin(edge_dist[row]))
+            name = label(row) if callable(label) else label
+            where = f" at {name}" if name else ""
             raise BoundaryAmbiguityError(
-                f"eigenvalue {w[nearest]:.17g}{where} lies within {b_tol:.1e} of the "
+                f"eigenvalue {rows[row, nearest]:.17g}{where} lies within {b_tol:.1e} of the "
                 f"window edge +-{epsilon:.17g}; perturb epsilon"
             )
-    return int(np.count_nonzero(np.abs(w) < epsilon))
+    counts = np.count_nonzero(np.abs(w) < epsilon, axis=-1)
+    return int(counts) if w.ndim <= 1 else counts
 
 
 def spectral_count(matrix, epsilon: float, *, h_tol: float = H_TOL, b_tol: float = B_TOL) -> int:
@@ -297,43 +310,23 @@ class CoverReport:
         }
 
 
-def build_cover(
-    fam: SampledFamily,
-    k: int,
-    epsilon: float,
-    *,
-    inv_tol: float = INV_TOL,
-    jobs: int = 1,
+def _cover_from_spectra(
+    ids: Sequence[str], spectra: np.ndarray, k: int, epsilon: float, inv_tol: float
 ) -> CoverReport:
-    """Cover the family by invertibility of the k+1 shifted operators.
-
-    Point b joins U_j when A_b - a_j I is safely invertible, measured by its
-    smallest singular value; for Hermitian A_b that value is the distance
-    from a_j to the spectrum, so one eigendecomposition per point suffices.
-    Singular values within a decade of inv_tol are flagged indeterminate and
-    conservatively kept out of U_j.  When every point has at most k window
-    eigenvalues, pigeonhole over the k+1 levels guarantees a full cover.
-    """
+    """Cover decision for a (points, dim) array of spectra."""
     levels = shift_levels(k, epsilon)
     lo = inv_tol / AMBIGUITY_DECADE
     hi = inv_tol * AMBIGUITY_DECADE
-
-    spectra = parallel_map(lambda p: np.linalg.eigvalsh(p.op), fam.points, jobs)
-
-    sets: list[list[str]] = [[] for _ in levels]
-    uncovered: list[str] = []
-    indeterminate: list[dict] = []
-    for point, w in zip(fam.points, spectra):
-        hit = False
-        for j, a in enumerate(levels):
-            sigma_min = float(np.abs(w - a).min()) if w.size else math.inf
-            if sigma_min > hi:
-                sets[j].append(point.id)
-                hit = True
-            elif sigma_min >= lo:
-                indeterminate.append({"id": point.id, "shift_index": j, "sigma_min": sigma_min})
-        if not hit:
-            uncovered.append(point.id)
+    # sigma_min of A - a I for every point (rows) and level (columns)
+    sigma = np.stack([np.abs(spectra - a).min(axis=1) for a in levels], axis=1)
+    inside = sigma > hi
+    ids = np.asarray(ids, dtype=object)
+    sets = [ids[column].tolist() for column in inside.T]
+    uncovered = ids[~inside.any(axis=1)].tolist()
+    indeterminate = [
+        {"id": ids[p], "shift_index": int(j), "sigma_min": float(sigma[p, j])}
+        for p, j in np.argwhere(~inside & (sigma >= lo))
+    ]
     return CoverReport(
         k=k,
         epsilon=epsilon,
@@ -344,6 +337,20 @@ def build_cover(
     )
 
 
+def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = INV_TOL) -> CoverReport:
+    """Cover the family by invertibility of the k+1 shifted operators.
+
+    Point b joins U_j when A_b - a_j I is safely invertible, measured by its
+    smallest singular value; for Hermitian A_b that value is the distance
+    from a_j to the spectrum, so one eigendecomposition per point suffices.
+    Singular values within a decade of inv_tol are flagged indeterminate and
+    conservatively kept out of U_j.  When every point has at most k window
+    eigenvalues, pigeonhole over the k+1 levels guarantees a full cover.
+    """
+    ops = np.array([p.op for p in fam.points], dtype=complex).reshape(-1, fam.dim, fam.dim)
+    return _cover_from_spectra(fam.ids, np.linalg.eigvalsh(ops), k, epsilon, inv_tol)
+
+
 def _step_norm_exceeds(delta: np.ndarray, eta: float) -> bool:
     # Frobenius dominates the operator norm, so a small Frobenius value is a
     # sufficient pass; only borderline steps pay for the exact 2-norm.
@@ -352,7 +359,7 @@ def _step_norm_exceeds(delta: np.ndarray, eta: float) -> bool:
     return np.linalg.norm(delta, ord=2) >= eta
 
 
-def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float, *, jobs: int = 1) -> int:
+def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float) -> int:
     """Net number of eigenvalues crossing zero upward along the path.
 
     Accumulates the negative-eigenvalue count drop over each listed step; for
@@ -375,9 +382,7 @@ def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float, *, jobs: int =
             )
 
     unique_ids = list(dict.fromkeys(path.ids))
-    spectra = dict(
-        zip(unique_ids, parallel_map(lambda i: np.linalg.eigvalsh(fam.point(i).op), unique_ids, jobs))
-    )
+    spectra = dict(zip(unique_ids, np.linalg.eigvalsh(np.stack([fam.point(i).op for i in unique_ids]))))
 
     if not path.closed:
         for which, point in (("first", points[0]), ("last", points[-1])):

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from ._parallel import parallel_map
 from .circle_dirac import (
+    I_TOL,
     HolonomySpec,
     SpinStructure,
+    dense_operator,
+    holonomy_log,
     kernel_dim,
-    truncation_blocks,
+    mode_blocks,
     truncation_from_angles,
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
@@ -34,8 +35,7 @@ from .fredholm import (
     FamilyPoint,
     PathSpec,
     SampledFamily,
-    bounded_transform,
-    build_cover,
+    _cover_from_spectra,
     count_in_window,
     spectral_flow,
 )
@@ -105,7 +105,8 @@ def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))[None, :]
 
 
-def _entry_holonomy(spec: TorusGridSpec, idx: tuple[int, ...], angles: list[float]) -> HolonomySpec:
+def _entry_holonomy(spec: TorusGridSpec, idx: tuple[int, ...]) -> HolonomySpec:
+    angles = [i / spec.resolution for i in idx]
     if spec.diagonal_only:
         return HolonomySpec(spec.k, angles=angles)
     # conjugated representative with the same eigenvalue angles; the seed is
@@ -116,23 +117,16 @@ def _entry_holonomy(spec: TorusGridSpec, idx: tuple[int, ...], angles: list[floa
     return HolonomySpec(spec.k, matrix=(u * phases[None, :]) @ u.conj().T)
 
 
-def _entry_blocks(spec: TorusGridSpec, idx: tuple[int, ...], bounded: bool) -> list[np.ndarray]:
-    angles = [i / spec.resolution for i in idx]
-    holonomy = _entry_holonomy(spec, idx, angles)
-    blocks = truncation_blocks(holonomy, spec.spin, spec.truncation)
-    if bounded:
-        blocks = [bounded_transform(b) for b in blocks]
-    return blocks
+def _grid_blocks(spec: TorusGridSpec, indices: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Mode blocks of every grid point's truncated operator, (P, 2N+1, k, k)."""
+    logs = np.array([holonomy_log(_entry_holonomy(spec, idx)) for idx in indices])
+    return mode_blocks(logs, float(spec.spin.delta), spec.truncation)
 
 
-def tautological_family(spec: TorusGridSpec, *, jobs: int = 1) -> SampledFamily:
+def tautological_family(spec: TorusGridSpec) -> SampledFamily:
     """Truncated operators over the whole grid, with wrap-around adjacency."""
     indices = _grid_indices(spec)
-    ops = parallel_map(
-        lambda idx: scipy.linalg.block_diag(*_entry_blocks(spec, idx, bounded=False)),
-        indices,
-        jobs,
-    )
+    ops = dense_operator(_grid_blocks(spec, indices))
     points = [
         FamilyPoint(point_id(idx), op, np.array([i / spec.resolution for i in idx]))
         for idx, op in zip(indices, ops)
@@ -233,10 +227,9 @@ def verify_contrapositive(
     *,
     bounded: bool = False,
     cover_check: bool = True,
-    jobs: int = 1,
     b_tol: float = B_TOL,
     inv_tol: float = INV_TOL,
-    i_tol: float = 1e-8,
+    i_tol: float = I_TOL,
 ) -> ObstructionVerdict:
     """Check that a nonzero k-fold generator product coexists with count >= k.
 
@@ -256,50 +249,32 @@ def verify_contrapositive(
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))
     nonzero = not product.is_zero()
 
+    # one batched eigensolve; every radius, guard and cover reads this array
     indices = _grid_indices(spec)
-    blocks_list = parallel_map(lambda idx: _entry_blocks(spec, idx, bounded), indices, jobs)
-    spectra = parallel_map(
-        lambda blocks: np.concatenate([np.linalg.eigvalsh(b) for b in blocks]),
-        blocks_list,
-        jobs,
-    )
-
-    family: SampledFamily | None = None
-    if cover_check:
-        points = [
-            FamilyPoint(
-                point_id(idx),
-                scipy.linalg.block_diag(*blocks),
-                np.array([i / spec.resolution for i in idx]),
-            )
-            for idx, blocks in zip(indices, blocks_list)
-        ]
-        family = SampledFamily(spec.dim, points)
+    ids = [point_id(idx) for idx in indices]
+    spectra = np.linalg.eigvalsh(_grid_blocks(spec, indices)).reshape(len(indices), spec.dim)
+    if bounded:
+        spectra = spectra / np.sqrt(1.0 + spectra * spectra)
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
         effective = bounded_scalar(eps) if bounded else eps
-        max_count = -1
-        witness_idx: tuple[int, ...] | None = None
-        for idx, w in zip(indices, spectra):
-            count = count_in_window(w, effective, b_tol=b_tol, label=f"grid point {point_id(idx)}")
-            if count > max_count:
-                max_count = count
-                witness_idx = idx
-        assert witness_idx is not None
-        witness_angles = [i / spec.resolution for i in witness_idx]
+        counts = count_in_window(spectra, effective, b_tol=b_tol, label=lambda row: f"grid point {ids[row]}")
+        best = int(np.argmax(counts))  # ties resolve to the first maximum in grid order
+        max_count = int(counts[best])
+        witness_angles = [i / spec.resolution for i in indices[best]]
         wit_kernel = kernel_dim(
             HolonomySpec(spec.k, angles=witness_angles), spec.spin, i_tol=i_tol
         )
         cover_ok: bool | None = None
-        if cover_check and family is not None:
-            cover_ok = build_cover(family, max_count, effective, inv_tol=inv_tol, jobs=jobs).covered
+        if cover_check:
+            cover_ok = _cover_from_spectra(ids, spectra, max_count, effective, inv_tol).covered
         reports.append(
             EpsilonReport(
                 epsilon=eps,
                 effective_epsilon=effective,
                 max_count=max_count,
-                witness_id=point_id(witness_idx),
+                witness_id=ids[best],
                 witness_coords=witness_angles,
                 witness_kernel_dim=wit_kernel,
                 cover_ok=cover_ok,
@@ -334,7 +309,7 @@ def coordinate_loop(spec: TorusGridSpec, axis: int, base: Sequence[int]) -> Path
     return PathSpec(tuple(ids), closed=True)
 
 
-def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None, jobs: int = 1) -> int:
+def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None) -> int:
     """Spectral flow of the truncated family along a grid loop.
 
     The loop is lifted to the angle covering line: every traversed edge moves
@@ -369,4 +344,4 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None,
     fam = SampledFamily(spec.dim, points)
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m
-    return spectral_flow(fam, PathSpec(tuple(p.id for p in points)), eta, jobs=jobs)
+    return spectral_flow(fam, PathSpec(tuple(p.id for p in points)), eta)

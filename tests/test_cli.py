@@ -242,6 +242,17 @@ def test_verify_failing_grid_exit_three(capsys):
     assert "FAIL" in out
 
 
+def test_verify_boundary_eigenvalue_names_first_grid_point(capsys):
+    # angle 1/4 puts 2*pi*(-1 + 1/2 + 1/4) = -pi/2 exactly on the window edge
+    code, out, err = run_cli(
+        capsys, "verify", "--k", "1", "--resolution", "4", "--truncation", "2",
+        "--epsilons", "1.5707963267948966",
+    )
+    assert code == 2
+    assert out == ""
+    assert "at grid point 1 lies within" in err
+
+
 # ---------------------------------------------------------------- flow
 
 

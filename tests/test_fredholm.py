@@ -187,6 +187,16 @@ def test_count_boundary_ambiguity_raises():
     assert count_in_window([], 1.0) == 0
 
 
+def test_count_in_window_per_row_of_a_stack():
+    stack = np.array([[0.5, 2.0], [0.1, -0.2], [3.0, 4.0]])
+    assert count_in_window(stack, 1.0).tolist() == [1, 2, 0]
+    # the error names the first offending row in C order
+    stack[1, 1] = -1.0
+    stack[2, 0] = 1.0
+    with pytest.raises(BoundaryAmbiguityError, match="-1 at row 1 lies"):
+        count_in_window(stack, 1.0, label=lambda row: f"row {row}")
+
+
 # ---------------------------------------------------------------- families
 
 
@@ -296,13 +306,14 @@ def test_cover_flags_borderline_invertibility():
     assert not confident.covered and not confident.indeterminate
 
 
-def test_cover_parallel_matches_serial():
-    rng = np.random.default_rng(51)
-    mats = [random_hermitian(rng, 4) for _ in range(12)]
-    fam = family_of(mats)
-    a = build_cover(fam, 2, 0.8, jobs=1)
-    b = build_cover(fam, 2, 0.8, jobs=4)
-    assert a.to_json() == b.to_json()
+def test_cover_indeterminate_order_is_point_major():
+    # every point sits 5e-8 from both levels 0 and 0.25: inside the band
+    w = [5e-8, 0.25 + 5e-8, 3.0]
+    fam = family_of([np.diag(w), np.diag(w)])
+    report = build_cover(fam, 1, 0.5)
+    assert not report.covered
+    order = [(e["id"], e["shift_index"]) for e in report.indeterminate]
+    assert order == [("p0", 0), ("p0", 1), ("p1", 0), ("p1", 1)]
 
 
 # ---------------------------------------------------------------- spectral flow

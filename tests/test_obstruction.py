@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from dirac_obstruction import (
+    FamilyPoint,
     PathSpec,
+    SampledFamily,
     SpinStructure,
     TorusGridSpec,
     ValidationError,
     bounded_scalar,
+    bounded_transform,
+    build_cover,
     c1_pairing,
     coordinate_loop,
     spectral_count,
@@ -155,11 +159,24 @@ def test_verify_rejects_bad_radii():
         verify_contrapositive(spec, [0.5, -1.0])
 
 
-def test_verify_parallel_matches_serial():
-    spec = TorusGridSpec(k=2, resolution=4, truncation=2)
-    a = verify_contrapositive(spec, [1.0, 0.1], jobs=1)
-    b = verify_contrapositive(spec, [1.0, 0.1], jobs=4)
-    assert a.to_json() == b.to_json()
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("diagonal_only", [True, False])
+def test_verify_matches_dense_family_reference(diagonal_only, bounded):
+    # the grid reads counts and cover off one batched eigensolve; the dense
+    # tautological family, point by point, is the reference
+    spec = TorusGridSpec(k=2, resolution=5, truncation=2, diagonal_only=diagonal_only)
+    family = tautological_family(spec)
+    if bounded:
+        points = [FamilyPoint(p.id, bounded_transform(p.op)) for p in family.points]
+        family = SampledFamily(family.dim, points)
+    verdict = verify_contrapositive(spec, [2.0, 0.7, 0.05], bounded=bounded)
+    for report in verdict.reports:
+        eps = report.effective_epsilon
+        counts = [spectral_count(p.op, eps) for p in family.points]
+        assert report.max_count == max(counts)
+        assert report.witness_id == family.ids[counts.index(max(counts))]
+        dense = build_cover(family, report.max_count, eps)
+        assert report.cover_ok is dense.covered
 
 
 def test_verdict_serialization_and_table():
