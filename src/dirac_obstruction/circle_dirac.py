@@ -24,6 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
+from .fredholm import _matrix_from_json, _matrix_to_json
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
 U_TOL = 1e-10
@@ -39,9 +40,13 @@ AngleLike = Union[int, float, Fraction, str]
 
 def _to_angle(value: AngleLike) -> float:
     """Coerce an angle given as number, Fraction or 'p/q' string to [0, 1)."""
-    if isinstance(value, str):
-        value = Fraction(value)
-    a = float(value) % 1.0
+    try:
+        a = float(Fraction(value) if isinstance(value, str) else value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        a = math.nan  # rejected below together with the non-finite numbers
+    if not math.isfinite(a):
+        raise ValidationError(f"angle must be a finite number or 'p/q' string, got {value!r}")
+    a %= 1.0
     # float modulo can round a tiny negative input up to exactly 1.0
     return 0.0 if a >= 1.0 else a
 
@@ -124,20 +129,12 @@ class HolonomySpec:
             raise ValidationError("holonomy JSON needs exactly one of 'matrix' and 'angles'")
         if "angles" in obj:
             return cls(k, angles=obj["angles"])
-        rows = obj["matrix"]
-        try:
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"holonomy matrix entries must be [re, im] pairs: {exc}")
-        return cls(k, matrix=m)
+        return cls(k, matrix=_matrix_from_json(obj["matrix"], "holonomy matrix"))
 
     def to_json(self) -> dict:
         if self.angles is not None:
             return {"k": self.k, "angles": list(self.angles)}
-        return {
-            "k": self.k,
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-        }
+        return {"k": self.k, "matrix": _matrix_to_json(self.matrix)}
 
     def __repr__(self) -> str:
         if self.angles is not None:
@@ -200,8 +197,11 @@ def cluster_values(values: Sequence[float], c_tol: float = C_TOL) -> list[tuple[
 
 def _require_unitary(matrix: np.ndarray, u_tol: float) -> None:
     gram = matrix @ matrix.conj().T
-    dev = np.linalg.norm(gram - np.eye(matrix.shape[0]), ord=2)
-    if dev > u_tol:
+    try:
+        dev = np.linalg.norm(gram - np.eye(matrix.shape[0]), ord=2)
+    except np.linalg.LinAlgError:  # the SVD of a non-finite matrix may not converge
+        dev = math.nan
+    if not dev <= u_tol:
         raise ValidationError(
             f"holonomy is not unitary: ||U U* - I|| = {dev:.3e} exceeds u_tol = {u_tol:.3e}"
         )

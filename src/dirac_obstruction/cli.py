@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from .circle_dirac import (
     C_TOL,
@@ -34,38 +34,14 @@ EXIT_ERROR = 2
 EXIT_NEGATIVE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: where input comes from, where output goes."""
-
-    subcommand: str
-    inputs: tuple[str, ...]
-    output: str | None
-    tolerances: dict[str, float]
-
-    def __post_init__(self) -> None:
-        for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ValidationError(f"tolerance {name} must be positive, got {value}")
-
-
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
     return value
-
-
-def _config(args: argparse.Namespace, tol_names: tuple[str, ...], inputs: tuple[str, ...] = ()) -> RunConfig:
-    return RunConfig(
-        subcommand=args.command,
-        inputs=inputs,
-        output=getattr(args, "output", None),
-        tolerances={name: getattr(args, name) for name in tol_names},
-    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -110,28 +86,26 @@ def _parse_epsilons(text: str) -> list[float]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _config(args, ("u_tol", "r_tol", "c_tol"))
     holonomy = _holonomy_from_args(args)
     spin = SpinStructure.parse(args.delta)
+    tols = {"u_tol": args.u_tol, "r_tol": args.r_tol, "c_tol": args.c_tol}
     if args.truncation is None:
-        window = analytic_spectrum(holonomy, spin, args.epsilon, **cfg.tolerances)
+        window = analytic_spectrum(holonomy, spin, args.epsilon, **tols)
     else:
-        window = truncation_spectrum(holonomy, spin, args.truncation, args.epsilon, **cfg.tolerances)
-    _emit(window.to_csv(), cfg.output)
+        window = truncation_spectrum(holonomy, spin, args.truncation, args.epsilon, **tols)
+    _emit(window.to_csv(), args.output)
     return EXIT_OK
 
 
 def _cmd_kernel_dim(args: argparse.Namespace) -> int:
-    cfg = _config(args, ("u_tol", "r_tol", "i_tol"))
     holonomy = _holonomy_from_args(args)
     spin = SpinStructure.parse(args.delta)
-    dim = kernel_dim(holonomy, spin, **cfg.tolerances)
-    _emit(f"{dim}\n", cfg.output)
+    dim = kernel_dim(holonomy, spin, u_tol=args.u_tol, r_tol=args.r_tol, i_tol=args.i_tol)
+    _emit(f"{dim}\n", args.output)
     return EXIT_OK
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
-    cfg = _config(args, ())
     try:
         indices = [int(t) for t in args.indices.split(",") if t.strip()]
     except ValueError:
@@ -147,18 +121,17 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
                 "nonzero": not product.is_zero(),
             }
         ),
-        cfg.output,
+        args.output,
     )
     return EXIT_OK
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    cfg = _config(args, ("inv_tol", "h_tol"), inputs=(args.family,))
     fam = SampledFamily.load(args.family, h_tol=args.h_tol)
     report = build_cover(fam, args.k, args.epsilon, inv_tol=args.inv_tol)
     doc = report.to_json()
-    doc["tolerances"] = cfg.tolerances
-    _emit(_dump_json(doc), cfg.output)
+    doc["tolerances"] = {"inv_tol": args.inv_tol, "h_tol": args.h_tol}
+    _emit(_dump_json(doc), args.output)
     if report.covered:
         return EXIT_OK
     if report.indeterminate:
@@ -173,7 +146,6 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args, ("b_tol", "inv_tol", "i_tol"))
     spec = TorusGridSpec(
         k=args.k,
         resolution=args.resolution,
@@ -191,9 +163,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         i_tol=args.i_tol,
     )
     doc = verdict.to_json()
-    doc["tolerances"] = cfg.tolerances
+    doc["tolerances"] = {"b_tol": args.b_tol, "inv_tol": args.inv_tol, "i_tol": args.i_tol}
     sys.stdout.write(verdict.summary_table())
-    _emit(_dump_json(doc), cfg.output)
+    _emit(_dump_json(doc), args.output)
     if not verdict.passed:
         return EXIT_NEGATIVE
     if any(r.cover_ok is False for r in verdict.reports):
@@ -204,12 +176,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
-    cfg = _config(args, ("h_tol",), inputs=(args.family,))
     fam = SampledFamily.load(args.family, h_tol=args.h_tol)
     ids = tuple(t.strip() for t in args.path.split(",") if t.strip())
     path = PathSpec(ids, closed=args.closed)
     flow = spectral_flow(fam, path, args.eta)
-    _emit(f"{flow}\n", cfg.output)
+    _emit(f"{flow}\n", args.output)
     return EXIT_OK
 
 

@@ -11,9 +11,8 @@ applied through eigendecompositions so that they act exactly on spectra.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,12 +40,43 @@ def require_hermitian(matrix, h_tol: float = H_TOL, what: str = "matrix") -> np.
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{what} has non-finite entries")
     dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if dev > h_tol:
         raise ValidationError(
             f"{what} is not Hermitian: max|A - A*| = {dev:.3e} exceeds h_tol = {h_tol:.3e}"
         )
     return (m + m.conj().T) / 2.0
+
+
+def _matrix_from_json(rows, what: str) -> np.ndarray:
+    """Decode a square complex matrix stored as rows of [re, im] pairs."""
+    try:
+        a = np.asarray(rows)
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be rows of [re, im] pairs: {exc}") from None
+    if a.dtype.kind not in "iuf" or a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 2:
+        raise ValidationError(
+            f"{what} must be n x n rows of numeric [re, im] pairs, got shape {a.shape} "
+            f"of dtype {a.dtype}"
+        )
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    m = np.empty(a.shape[:2], dtype=complex)
+    # copy the parts: re + 1j * im would drop the sign of a zero imaginary part
+    m.real, m.imag = a[..., 0], a[..., 1]
+    return m
+
+
+def _matrix_to_json(matrix: np.ndarray) -> list:
+    """Rows of [re, im] pairs, the inverse of `_matrix_from_json`."""
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+def _bounded_values(x):
+    """The bounded transform x / sqrt(1 + x^2) applied to numbers elementwise."""
+    return x / np.sqrt(1.0 + x * x)
 
 
 def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
@@ -57,8 +87,7 @@ def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
     """
     m = require_hermitian(matrix, h_tol)
     w, v = np.linalg.eigh(m)
-    f = w / np.sqrt(1.0 + w * w)
-    out = (v * f) @ v.conj().T
+    out = (v * _bounded_values(w)) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -207,16 +236,6 @@ class SampledFamily:
         except KeyError:
             raise ValidationError(f"unknown point id {point_id!r}") from None
 
-    @staticmethod
-    def _matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
-        try:
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"matrix at {where} must be rows of [re, im] pairs: {exc}")
-        if m.shape != (dim, dim):
-            raise ValidationError(f"matrix at {where} has shape {m.shape}, expected {(dim, dim)}")
-        return m
-
     @classmethod
     def from_json(cls, obj: dict, *, h_tol: float = H_TOL) -> "SampledFamily":
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
@@ -228,7 +247,7 @@ class SampledFamily:
         for entry in obj["points"]:
             if "id" not in entry or "matrix" not in entry:
                 raise ValidationError("each family point needs 'id' and 'matrix'")
-            op = cls._matrix_from_json(entry["matrix"], dim, repr(entry["id"]))
+            op = _matrix_from_json(entry["matrix"], f"matrix at {entry['id']!r}")
             coords = entry.get("coords")
             points.append(FamilyPoint(str(entry["id"]), op, coords))
         edges = None
@@ -250,7 +269,7 @@ class SampledFamily:
         for p in self.points:
             entry: dict = {
                 "id": p.id,
-                "matrix": [[[z.real, z.imag] for z in row] for row in p.op],
+                "matrix": _matrix_to_json(p.op),
             }
             if p.coords is not None:
                 entry["coords"] = [float(c) for c in p.coords]
@@ -351,50 +370,51 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     return _cover_from_spectra(fam.ids, np.linalg.eigvalsh(ops), k, epsilon, inv_tol)
 
 
-def _step_norm_exceeds(delta: np.ndarray, eta: float) -> bool:
-    # Frobenius dominates the operator norm, so a small Frobenius value is a
-    # sufficient pass; only borderline steps pay for the exact 2-norm.
-    if np.linalg.norm(delta) < eta:
-        return False
-    return np.linalg.norm(delta, ord=2) >= eta
+def _flow(ops: Mapping[str, np.ndarray], path: PathSpec, eta: float) -> int:
+    """Spectral flow along `path`; `ops` maps each of its ids to an operator.
+
+    An operator is a dense Hermitian matrix or a (B, k, k) stack of the
+    diagonal blocks of one block-diagonal Hermitian matrix.
+    """
+    if not eta > 0:
+        raise ValidationError(f"crossing guard eta must be positive, got {eta}")
+    for a, b in path.steps():
+        delta = ops[b] - ops[a]
+        # Frobenius dominates the operator norm, so a small Frobenius value is a
+        # sufficient pass; only borderline steps pay for the exact 2-norm, which
+        # for a block stack is the largest block norm.
+        if np.linalg.norm(delta) < eta:
+            continue
+        norm = float(np.linalg.norm(delta, ord=2, axis=(-2, -1)).max())
+        if norm >= eta:
+            raise RefinementRequiredError(
+                f"step {a!r} -> {b!r} moves the operator by {norm:.6g} >= eta = {eta:.6g}; "
+                "refine the path"
+            )
+    if path.closed:
+        return 0
+
+    ends = (path.ids[0], path.ids[-1])
+    spectra = np.linalg.eigvalsh(np.stack([ops[i] for i in ends])).reshape(2, -1)
+    for which, point_id, w in zip(("first", "last"), ends, spectra):
+        gap = float(np.abs(w).min())
+        if gap <= eta:
+            raise EndpointDegeneracyError(
+                f"{which} path point {point_id!r} has an eigenvalue within eta = {eta:.6g} "
+                "of zero; the endpoint count is ill-defined"
+            )
+    n_minus = np.count_nonzero(spectra < 0.0, axis=1)
+    return int(n_minus[0] - n_minus[1])
 
 
 def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float) -> int:
     """Net number of eigenvalues crossing zero upward along the path.
 
-    Accumulates the negative-eigenvalue count drop over each listed step; for
-    an open path this telescopes to n_minus(start) - n_minus(end).  Requires
-    every step to move the operator by less than eta in norm (no crossing can
-    hide inside a step) and, for open paths, endpoints with no spectrum in
-    [-eta, eta].
+    Every step must move the operator by less than eta in norm, so no
+    crossing can hide inside a step; the flow of such a path is then the
+    endpoint count n_minus(first) - n_minus(last), read off the two endpoint
+    spectra, and it is 0 for a closed path.  An open path also needs
+    endpoints with no spectrum in [-eta, eta], so that their counts are
+    stable.
     """
-    if eta <= 0:
-        raise ValidationError(f"crossing guard eta must be positive, got {eta}")
-    points = [fam.point(i) for i in path.ids]
-    steps = path.steps()
-    for a, b in steps:
-        delta = fam.point(b).op - fam.point(a).op
-        if _step_norm_exceeds(delta, eta):
-            norm = float(np.linalg.norm(delta, ord=2))
-            raise RefinementRequiredError(
-                f"step {a!r} -> {b!r} moves the operator by {norm:.6g} >= eta = {eta:.6g}; "
-                "refine the path"
-            )
-
-    unique_ids = list(dict.fromkeys(path.ids))
-    spectra = dict(zip(unique_ids, np.linalg.eigvalsh(np.stack([fam.point(i).op for i in unique_ids]))))
-
-    if not path.closed:
-        for which, point in (("first", points[0]), ("last", points[-1])):
-            w = spectra[point.id]
-            gap = float(np.abs(w).min()) if w.size else math.inf
-            if gap <= eta:
-                raise EndpointDegeneracyError(
-                    f"{which} path point {point.id!r} has an eigenvalue within eta = {eta:.6g} "
-                    "of zero; the endpoint count is ill-defined"
-                )
-
-    def n_neg(point_id: str) -> int:
-        return int(np.count_nonzero(spectra[point_id] < 0.0))
-
-    return sum(n_neg(a) - n_neg(b) for a, b in steps)
+    return _flow({i: fam.point(i).op for i in path.ids}, path, eta)

@@ -25,7 +25,6 @@ from .circle_dirac import (
     holonomy_log,
     kernel_dim,
     mode_blocks,
-    truncation_from_angles,
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
 from .errors import ValidationError
@@ -35,9 +34,10 @@ from .fredholm import (
     FamilyPoint,
     PathSpec,
     SampledFamily,
+    _bounded_values,
     _cover_from_spectra,
+    _flow,
     count_in_window,
-    spectral_flow,
 )
 
 MAX_GRID_POINTS = 10**6
@@ -45,7 +45,7 @@ MAX_GRID_POINTS = 10**6
 
 def bounded_scalar(x: float) -> float:
     """Scalar form of the bounded transform, x / sqrt(1 + x^2)."""
-    return x / math.sqrt(1.0 + x * x)
+    return float(_bounded_values(x))
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,8 @@ def verify_contrapositive(
     eps_list = [float(e) for e in epsilon_list]
     if not eps_list:
         raise ValidationError("need at least one window radius")
-    if any(e <= 0 for e in eps_list):
-        raise ValidationError(f"window radii must be positive, got {eps_list}")
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise ValidationError(f"window radii must be positive and finite, got {eps_list}")
 
     ctx = AlgebraContext(spec.k)
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))
@@ -254,7 +254,7 @@ def verify_contrapositive(
     ids = [point_id(idx) for idx in indices]
     spectra = np.linalg.eigvalsh(_grid_blocks(spec, indices)).reshape(len(indices), spec.dim)
     if bounded:
-        spectra = spectra / np.sqrt(1.0 + spectra * spectra)
+        spectra = _bounded_values(spectra)
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
@@ -337,11 +337,11 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
         nxt_lifted[axis] += step
         lifted.append(nxt_lifted)
 
-    points = [
-        FamilyPoint(f"s{i}", truncation_from_angles(angles, spec.spin.delta, spec.truncation), angles)
-        for i, angles in enumerate(lifted)
-    ]
-    fam = SampledFamily(spec.dim, points)
+    # each lifted sample stays a (2N+1, k, k) stack of mode blocks
+    logs = np.zeros((len(lifted), spec.k, spec.k))
+    logs[:, range(spec.k), range(spec.k)] = lifted
+    blocks = mode_blocks(logs, float(spec.spin.delta), spec.truncation)
+    ids = tuple(f"s{i}" for i in range(len(blocks)))
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m
-    return spectral_flow(fam, PathSpec(tuple(p.id for p in points)), eta)
+    return _flow(dict(zip(ids, blocks)), PathSpec(ids), eta)

@@ -281,6 +281,26 @@ def test_holonomy_json_round_trip_matrix():
     assert np.max(np.abs(again.matrix - u)) < 1e-15
 
 
+def test_holonomy_json_keeps_signed_zeros_and_rejects_non_finite():
+    m = np.array([[complex(-0.0, -0.0), complex(1.0, 0.0)], [complex(1.0, -0.0), complex(0.0, -0.0)]])
+    text = json.dumps(HolonomySpec.from_matrix(m).to_json())
+    again = HolonomySpec.from_json(json.loads(text))
+    assert json.dumps(again.to_json()) == text
+    assert np.array_equal(np.signbit(again.matrix.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(again.matrix.imag), np.signbit(m.imag))
+    for bad in ([[[math.nan, 0.0]]], [[[1.0, math.inf]]]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            HolonomySpec.from_json({"k": 1, "matrix": bad})
+    with pytest.raises(ValidationError, match="not unitary"):
+        kernel_dim(HolonomySpec.from_matrix(np.array([[math.nan]])), HALF)
+
+
+def test_angles_reject_non_finite_and_malformed_values():
+    for bad in (math.nan, math.inf, "nan", "abc", "1e400", "1/0", None, [0.5]):
+        with pytest.raises(ValidationError, match="finite number"):
+            HolonomySpec.from_angles([bad])
+
+
 def test_holonomy_json_rejects_malformed():
     with pytest.raises(ValidationError):
         HolonomySpec.from_json({"k": 2})

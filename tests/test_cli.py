@@ -195,6 +195,64 @@ def test_cover_rejects_negative_tolerance():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-dim", "--angles", "0.5", "--i-tol", "nan"],
+        ["verify", "--k", "1", "--resolution", "4", "--epsilons", "1", "--b-tol", "nan"],
+        ["spectrum", "--angles", "0.5", "--epsilon", "nan"],
+        ["spectrum", "--angles", "0.5", "--epsilon", "inf"],
+    ],
+)
+def test_positive_flags_reject_non_finite(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("radii", ["nan", "1,nan", "1e400"])
+def test_verify_rejects_non_finite_radii(capsys, radii):
+    code, out, err = run_cli(capsys, "verify", "--k", "1", "--resolution", "4", "--epsilons", radii)
+    assert code == 2
+    assert out == ""
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("angles", ["nan", "0.5,abc", "1e400", "1/0"])
+def test_malformed_angles_exit_two(capsys, angles):
+    code, _, err = run_cli(capsys, "kernel-dim", "--angles", angles)
+    assert code == 2
+    assert "angle must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"k": 1, "angles": [NaN]}',
+        '{"k": 1, "matrix": [[[NaN, 0]]]}',
+        '{"k": 1, "matrix": [[[1, Infinity]]]}',
+    ],
+)
+def test_non_finite_holonomy_file_exit_two(capsys, tmp_path, doc):
+    path = tmp_path / "h.json"
+    path.write_text(doc)
+    code, _, err = run_cli(capsys, "kernel-dim", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_family_file_exit_two(capsys, tmp_path, bad):
+    path = tmp_path / "fam.json"
+    path.write_text(
+        '{"dim": 1, "points": [{"id": "a", "matrix": [[[%s, 0]]]}, {"id": "b", "matrix": [[[1, 0]]]}]}' % bad
+    )
+    for argv in (["cover", str(path), "--k", "1", "--epsilon", "0.5"], ["flow", str(path), "--path", "a,b", "--eta", "10"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "matrix at 'a' has non-finite entries" in err
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -56,6 +56,14 @@ def test_require_hermitian_rejects_large_deviation():
         require_hermitian(np.zeros((2, 3)))
 
 
+def test_require_hermitian_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            SampledFamily(1, [FamilyPoint("a", np.array([[complex(0.0, bad)]]))])
+
+
 # ---------------------------------------------------------------- bounded transform
 
 
@@ -237,6 +245,19 @@ def test_family_json_round_trip(tmp_path):
     assert np.allclose(again.point("a").coords, [0.0, 0.5])
 
 
+def test_family_json_rejects_non_finite_and_malformed_matrices():
+    for rows, message in (
+        ([[[math.nan, 0.0]]], "non-finite"),
+        ([[[1.0, -math.inf]]], "non-finite"),
+        ([["oops"]], "pairs"),
+        ([[[1.0, 0.0, 0.0]]], "pairs"),
+        ([[[1.0, 0.0]], [[1.0, 0.0]]], "pairs"),
+        ([[[1.0, 0.0], [2.0]]], "pairs"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            SampledFamily.from_json({"dim": 1, "points": [{"id": "a", "matrix": rows}]})
+
+
 def test_family_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -386,6 +407,24 @@ def test_flow_closed_matrix_loop_telescopes_to_zero():
     bump = np.diag([0.3, 0.0])
     fam = family_of([base, base + bump, base + 2 * bump, base + bump], ids=["a", "b", "c", "d"])
     assert spectral_flow(fam, PathSpec(("a", "b", "c", "d"), closed=True), eta=0.7) == 0
+
+
+def test_flow_diagonalises_only_the_open_path_endpoints(monkeypatch):
+    fam, path = ladder_family(16)
+    eta = 2.0 * math.pi / 16 * 1.5
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert spectral_flow(fam, path, eta) == 1
+    assert shapes == [(2, 9, 9)]
+    shapes.clear()
+    assert spectral_flow(fam, PathSpec(path.ids[:5], closed=True), eta=2.0) == 0
+    assert shapes == []
 
 
 def test_flow_validation():

@@ -19,7 +19,9 @@ from dirac_obstruction import (
     c1_pairing,
     coordinate_loop,
     spectral_count,
+    spectral_flow,
     tautological_family,
+    truncation_from_angles,
     verify_contrapositive,
 )
 from dirac_obstruction.obstruction import parse_point_id, point_id
@@ -233,6 +235,39 @@ def test_pairing_second_axis_with_first_fixed():
     spec = TorusGridSpec(k=2, resolution=16, truncation=2)
     loop = coordinate_loop(spec, 1, (4, 0))
     assert c1_pairing(spec, loop) == 1
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except Exception as exc:  # the comparison covers the error type and message
+        return (type(exc).__name__, str(exc))
+
+
+def test_pairing_matches_dense_flow_on_lifted_family():
+    # reference: the lifted path as dense truncation_from_angles matrices,
+    # with the lifted angle advanced one grid step at a time
+    spec = TorusGridSpec(k=2, resolution=8, truncation=3)
+    m = spec.resolution
+    seen = set()
+    for axis in range(spec.k):
+        for base in np.ndindex(m, m):
+            loop = coordinate_loop(spec, axis, base)
+            back = PathSpec(tuple(reversed(loop.ids)), closed=True)
+            for path, step, count in ((loop, 1, m + 1), (back, -1, m + 1), (PathSpec(loop.ids), 1, m)):
+                angles = np.array(parse_point_id(path.ids[0], spec), dtype=float) / m
+                points = []
+                for i in range(count):
+                    points.append(FamilyPoint(f"s{i}", truncation_from_angles(angles, HALF.delta, spec.truncation)))
+                    angles = angles.copy()
+                    angles[axis] += step / m
+                fam = SampledFamily(spec.dim, points)
+                lifted = PathSpec(tuple(p.id for p in points))
+                for eta, dense_eta in ((None, 3.0 * math.pi / m), (0.05, 0.05)):
+                    got = _outcome(lambda: c1_pairing(spec, path, eta=eta))
+                    assert got == _outcome(lambda: spectral_flow(fam, lifted, dense_eta))
+                    seen.add(got[0] if got[0] != "ok" else got)
+    assert seen == {("ok", 1), ("ok", -1), "EndpointDegeneracyError", "RefinementRequiredError"}
 
 
 def test_pairing_rejects_non_edges_and_conjugated_grids():
