@@ -62,14 +62,17 @@ class SpinStructure:
     delta: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
-        d = Fraction(self.delta)
+        try:
+            d = Fraction(self.delta)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise ValidationError(f"spin phase exponent must be 0 or 1/2, got {self.delta!r}") from None
         if d not in (Fraction(0), Fraction(1, 2)):
             raise ValidationError(f"spin phase exponent must be 0 or 1/2, got {d}")
         object.__setattr__(self, "delta", d)
 
     @classmethod
     def parse(cls, text: Union[str, int, float, Fraction]) -> "SpinStructure":
-        return cls(Fraction(text))
+        return cls(text)
 
     def to_json(self) -> str:
         return str(self.delta)
@@ -86,7 +89,7 @@ class HolonomySpec:
     __slots__ = ("k", "matrix", "angles")
 
     def __init__(self, k: int, matrix=None, angles: Sequence[AngleLike] | None = None):
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValidationError(f"holonomy rank must be a positive integer, got {k!r}")
         if (matrix is None) == (angles is None):
             raise ValidationError("give exactly one of matrix= and angles=")
@@ -98,6 +101,8 @@ class HolonomySpec:
             self.matrix = m
             self.angles = None
         else:
+            if isinstance(angles, (str, bytes)) or not hasattr(angles, "__len__"):
+                raise ValidationError(f"angles must be a list of numbers, got {angles!r}")
             if len(angles) != k:
                 raise ValidationError(f"expected {k} angles, got {len(angles)}")
             self.matrix = None

@@ -241,18 +241,26 @@ class SampledFamily:
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
             raise ValidationError("family JSON must be an object with 'dim' and 'points'")
         dim = obj["dim"]
-        if not isinstance(dim, int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValidationError(f"family 'dim' must be an integer, got {dim!r}")
+        if not isinstance(obj["points"], list):
+            raise ValidationError("family 'points' must be a list")
         points = []
         for entry in obj["points"]:
-            if "id" not in entry or "matrix" not in entry:
+            if not isinstance(entry, dict) or "id" not in entry or "matrix" not in entry:
                 raise ValidationError("each family point needs 'id' and 'matrix'")
             op = _matrix_from_json(entry["matrix"], f"matrix at {entry['id']!r}")
             coords = entry.get("coords")
+            if coords is not None and not (
+                isinstance(coords, list) and all(type(c) in (int, float) for c in coords)
+            ):
+                raise ValidationError(f"coords at {entry['id']!r} must be a list of numbers")
             points.append(FamilyPoint(str(entry["id"]), op, coords))
-        edges = None
-        if obj.get("edges") is not None:
-            edges = [(str(a), str(b)) for a, b in obj["edges"]]
+        edges = obj.get("edges")
+        if edges is not None:
+            if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+                raise ValidationError("family 'edges' must be a list of [id, id] pairs")
+            edges = [(str(a), str(b)) for a, b in edges]
         return cls(dim, points, edges, h_tol=h_tol)
 
     @classmethod

@@ -22,7 +22,6 @@ from .circle_dirac import (
     HolonomySpec,
     SpinStructure,
     dense_operator,
-    holonomy_log,
     kernel_dim,
     mode_blocks,
 )
@@ -90,36 +89,33 @@ def parse_point_id(text: str, spec: TorusGridSpec) -> tuple[int, ...]:
     return idx
 
 
-def _grid_indices(spec: TorusGridSpec) -> list[tuple[int, ...]]:
-    # lexicographic order; witness ties resolve to the first maximum seen
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(spec.k):
-        out = [idx + (i,) for idx in out for i in range(spec.resolution)]
-    return out
+def _grid_indices(spec: TorusGridSpec) -> np.ndarray:
+    # (P, k) rows in lexicographic order, first coordinate slowest; witness
+    # ties resolve to the first maximum seen
+    return np.indices((spec.resolution,) * spec.k).reshape(spec.k, -1).T
 
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
+def _diagonal_logs(angles: np.ndarray) -> np.ndarray:
+    """(..., k, k) diagonal angle matrices from (..., k) rows of angles."""
+    return angles[..., None, :] * np.eye(angles.shape[-1])
 
 
-def _entry_holonomy(spec: TorusGridSpec, idx: tuple[int, ...]) -> HolonomySpec:
-    angles = [i / spec.resolution for i in idx]
-    if spec.diagonal_only:
-        return HolonomySpec(spec.k, angles=angles)
-    # conjugated representative with the same eigenvalue angles; the seed is
-    # a pure function of the grid point, so runs are reproducible
-    rng = np.random.default_rng([spec.k, spec.resolution, spec.truncation, *idx])
-    u = _haar_unitary(rng, spec.k)
-    phases = np.exp(2j * math.pi * np.asarray(angles))
-    return HolonomySpec(spec.k, matrix=(u * phases[None, :]) @ u.conj().T)
-
-
-def _grid_blocks(spec: TorusGridSpec, indices: Sequence[tuple[int, ...]]) -> np.ndarray:
+def _grid_blocks(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
     """Mode blocks of every grid point's truncated operator, (P, 2N+1, k, k)."""
-    logs = np.array([holonomy_log(_entry_holonomy(spec, idx)) for idx in indices])
+    angles = indices / spec.resolution
+    if spec.diagonal_only:
+        logs = _diagonal_logs(angles)
+    else:
+        # conjugated logs u diag(theta) u* with the same eigen-angles; the Haar
+        # unitaries come from one batched QR and one generator per grid, so
+        # runs are reproducible
+        rng = np.random.default_rng([spec.k, spec.resolution, spec.truncation])
+        shape = (len(angles), spec.k, spec.k)
+        q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (d / np.abs(d))[:, None, :]
+        logs = (u * angles[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        logs = (logs + logs.conj().swapaxes(-1, -2)) / 2.0
     return mode_blocks(logs, float(spec.spin.delta), spec.truncation)
 
 
@@ -127,13 +123,14 @@ def tautological_family(spec: TorusGridSpec) -> SampledFamily:
     """Truncated operators over the whole grid, with wrap-around adjacency."""
     indices = _grid_indices(spec)
     ops = dense_operator(_grid_blocks(spec, indices))
+    rows = [tuple(idx) for idx in indices.tolist()]
     points = [
-        FamilyPoint(point_id(idx), op, np.array([i / spec.resolution for i in idx]))
-        for idx, op in zip(indices, ops)
+        FamilyPoint(point_id(idx), op, coords)
+        for idx, op, coords in zip(rows, ops, indices / spec.resolution)
     ]
     edges: list[tuple[str, str]] = []
     seen: set[frozenset[str]] = set()
-    for idx in indices:
+    for idx in rows:
         for axis in range(spec.k):
             neighbor = idx[:axis] + ((idx[axis] + 1) % spec.resolution,) + idx[axis + 1 :]
             a, b = point_id(idx), point_id(neighbor)
@@ -251,7 +248,7 @@ def verify_contrapositive(
 
     # one batched eigensolve; every radius, guard and cover reads this array
     indices = _grid_indices(spec)
-    ids = [point_id(idx) for idx in indices]
+    ids = [point_id(idx) for idx in indices.tolist()]
     spectra = np.linalg.eigvalsh(_grid_blocks(spec, indices)).reshape(len(indices), spec.dim)
     if bounded:
         spectra = _bounded_values(spectra)
@@ -262,7 +259,7 @@ def verify_contrapositive(
         counts = count_in_window(spectra, effective, b_tol=b_tol, label=lambda row: f"grid point {ids[row]}")
         best = int(np.argmax(counts))  # ties resolve to the first maximum in grid order
         max_count = int(counts[best])
-        witness_angles = [i / spec.resolution for i in indices[best]]
+        witness_angles = (indices[best] / spec.resolution).tolist()
         wit_kernel = kernel_dim(
             HolonomySpec(spec.k, angles=witness_angles), spec.spin, i_tol=i_tol
         )
@@ -338,9 +335,7 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
         lifted.append(nxt_lifted)
 
     # each lifted sample stays a (2N+1, k, k) stack of mode blocks
-    logs = np.zeros((len(lifted), spec.k, spec.k))
-    logs[:, range(spec.k), range(spec.k)] = lifted
-    blocks = mode_blocks(logs, float(spec.spin.delta), spec.truncation)
+    blocks = mode_blocks(_diagonal_logs(np.array(lifted)), float(spec.spin.delta), spec.truncation)
     ids = tuple(f"s{i}" for i in range(len(blocks)))
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m

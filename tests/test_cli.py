@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirac_obstruction
 from dirac_obstruction import FamilyPoint, SampledFamily, truncation_from_angles
 from dirac_obstruction.cli import main
 
@@ -110,9 +115,20 @@ def test_kernel_dim_counts_zero_modes(capsys):
     assert code == 0 and out == "2\n"
 
 
-def test_kernel_dim_rejects_bad_delta(capsys):
-    code, _, err = run_cli(capsys, "kernel-dim", "--angles", "0.5", "--delta", "1/3")
-    assert code == 2 and "error:" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-dim", "--angles", "0.5", "--delta", "1/3"],
+        ["kernel-dim", "--angles", "0.5", "--delta", "abc"],
+        ["kernel-dim", "--angles", "0.5", "--delta", "1/0"],
+        ["verify", "--k", "1", "--resolution", "4", "--epsilons", "1", "--delta", "x"],
+    ],
+    ids=["1_3", "abc", "1_0", "verify_x"],
+)
+def test_kernel_dim_rejects_bad_delta(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: spin phase exponent must be 0 or 1/2, got ")
 
 
 # ---------------------------------------------------------------- cohomology
@@ -231,6 +247,9 @@ def test_malformed_angles_exit_two(capsys, angles):
         '{"k": 1, "angles": [NaN]}',
         '{"k": 1, "matrix": [[[NaN, 0]]]}',
         '{"k": 1, "matrix": [[[1, Infinity]]]}',
+        '{"k": 1, "angles": 5}',
+        '{"k": 1, "angles": "0.5"}',
+        '{"k": true, "angles": [0.5]}',
     ],
 )
 def test_non_finite_holonomy_file_exit_two(capsys, tmp_path, doc):
@@ -241,16 +260,50 @@ def test_non_finite_holonomy_file_exit_two(capsys, tmp_path, doc):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_family_file_exit_two(capsys, tmp_path, bad):
+def _family_doc(first_point: str, extra: str = "") -> str:
+    return '{"dim": 1, "points": [%s, {"id": "b", "matrix": [[[1, 0]]]}]%s}' % (first_point, extra)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(
+            _family_doc('{"id": "a", "matrix": [[[%s, 0]]]}' % bad), "matrix at 'a' has non-finite entries", id=bad
+        )
+        for bad in ("NaN", "Infinity", "-Infinity")
+    ]
+    + [
+        pytest.param('{"dim": 1, "points": [5]}', "each family point needs 'id' and 'matrix'", id="point_5"),
+        pytest.param('{"dim": 1, "points": 5}', "family 'points' must be a list", id="points_5"),
+        pytest.param(
+            _family_doc('{"id": "a", "matrix": [[[1, 0]]]}').replace('"dim": 1', '"dim": true'),
+            "family 'dim' must be an integer",
+            id="dim_true",
+        ),
+        pytest.param(
+            _family_doc('{"id": "a", "matrix": [[[1, 0]]]}', ', "edges": [["a"]]'),
+            "family 'edges' must be a list of [id, id] pairs",
+            id="edge_a",
+        ),
+        pytest.param(
+            _family_doc('{"id": "a", "matrix": [[[1, 0]]]}', ', "edges": 5'),
+            "family 'edges' must be a list of [id, id] pairs",
+            id="edges_5",
+        ),
+        pytest.param(
+            _family_doc('{"id": "a", "matrix": [[[1, 0]]], "coords": "xy"}'),
+            "coords at 'a' must be a list of numbers",
+            id="coords_xy",
+        ),
+    ],
+)
+def test_non_finite_family_file_exit_two(capsys, tmp_path, doc, message):
     path = tmp_path / "fam.json"
-    path.write_text(
-        '{"dim": 1, "points": [{"id": "a", "matrix": [[[%s, 0]]]}, {"id": "b", "matrix": [[[1, 0]]]}]}' % bad
-    )
+    path.write_text(doc)
     for argv in (["cover", str(path), "--k", "1", "--epsilon", "0.5"], ["flow", str(path), "--path", "a,b", "--eta", "10"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "matrix at 'a' has non-finite entries" in err
+        assert message in err
 
 
 # ---------------------------------------------------------------- verify
@@ -309,6 +362,102 @@ def test_verify_boundary_eigenvalue_names_first_grid_point(capsys):
     assert code == 2
     assert out == ""
     assert "at grid point 1 lies within" in err
+
+
+# stdout and --output bytes of `verify --k 2 --resolution 6 --conjugated
+# --bounded --epsilons 2,0.7,0.05`; the Haar draws must not move any count,
+# witness or cover decision
+CONJUGATED_TABLE = (
+    "epsilon               max_count  witness  kernel_dim  cover  verdict\n"
+    "2                     2          2_2      0           ok     pass\n"
+    "0.69999999999999996   2          3_3      2           ok     pass\n"
+    "0.050000000000000003  2          3_3      2           ok     pass\n"
+)
+CONJUGATED_JSON = """\
+{
+  "bounded": true,
+  "cohomology_product": "1 * c1^c2",
+  "cohomology_product_nonzero": true,
+  "k": 2,
+  "passed": true,
+  "per_epsilon": [
+    {
+      "cover_ok": true,
+      "effective_epsilon": 0.8944271909999159,
+      "epsilon": 2.0,
+      "max_count": 2,
+      "passed": true,
+      "witness_coords": [
+        0.3333333333333333,
+        0.3333333333333333
+      ],
+      "witness_id": "2_2",
+      "witness_kernel_dim": 0
+    },
+    {
+      "cover_ok": true,
+      "effective_epsilon": 0.5734623443633283,
+      "epsilon": 0.7,
+      "max_count": 2,
+      "passed": true,
+      "witness_coords": [
+        0.5,
+        0.5
+      ],
+      "witness_id": "3_3",
+      "witness_kernel_dim": 2
+    },
+    {
+      "cover_ok": true,
+      "effective_epsilon": 0.04993761694389223,
+      "epsilon": 0.05,
+      "max_count": 2,
+      "passed": true,
+      "witness_coords": [
+        0.5,
+        0.5
+      ],
+      "witness_id": "3_3",
+      "witness_kernel_dim": 2
+    }
+  ],
+  "resolution": 6,
+  "spin_delta": "1/2",
+  "tolerances": {
+    "b_tol": 1e-08,
+    "i_tol": 1e-08,
+    "inv_tol": 1e-08
+  },
+  "truncation": 4
+}
+"""
+
+
+def test_verify_conjugated_golden_output(capsys, tmp_path):
+    out_path = tmp_path / "verdict.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--k", "2", "--resolution", "6", "--conjugated", "--bounded",
+        "--epsilons", "2,0.7,0.05", "--output", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    assert out == CONJUGATED_TABLE
+    assert out_path.read_bytes() == CONJUGATED_JSON.encode()
+
+
+def test_verify_conjugated_never_loads_scipy_linalg():
+    # the grid plants its eigen-angles; only holonomy matrices from files
+    # need the Schur decomposition
+    script = (
+        "import sys\n"
+        "from dirac_obstruction.cli import main\n"
+        "code = main(['verify', '--k', '2', '--resolution', '4', '--conjugated', '--epsilons', '1'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------- flow

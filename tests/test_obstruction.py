@@ -24,7 +24,7 @@ from dirac_obstruction import (
     truncation_from_angles,
     verify_contrapositive,
 )
-from dirac_obstruction.obstruction import parse_point_id, point_id
+from dirac_obstruction.obstruction import _grid_blocks, _grid_indices, parse_point_id, point_id
 
 HALF = SpinStructure(Fraction(1, 2))
 ZERO = SpinStructure(Fraction(0))
@@ -151,6 +151,23 @@ def test_verify_conjugated_sampling_matches_diagonal_counts():
     assert a.reports[0].max_count == b.reports[0].max_count
     assert a.reports[0].witness_id == b.reports[0].witness_id
     assert a.passed == b.passed
+
+
+@pytest.mark.parametrize("spin", [ZERO, HALF], ids=["delta_0", "delta_half"])
+def test_conjugated_grid_blocks_have_planted_spectra(spin):
+    # every conjugated log u diag(idx/m) u* is built from its planted angles,
+    # so each block is Hermitian with the closed-form spectrum
+    spec = TorusGridSpec(k=3, resolution=6, spin=spin, truncation=2, diagonal_only=False)
+    indices = _grid_indices(spec)
+    blocks = _grid_blocks(spec, indices)
+    assert blocks.shape == (216, 5, 3, 3)
+    assert np.array_equal(blocks, blocks.conj().swapaxes(-1, -2))
+    modes = np.arange(-2, 3)[None, :, None]
+    closed = 2 * np.pi * (modes + float(spin.delta) + indices[:, None, :] / 6)
+    np.testing.assert_allclose(np.linalg.eigvalsh(blocks), np.sort(closed, axis=-1), rtol=0, atol=1e-12)
+    # the off-diagonal entries show that the grid really is conjugated
+    assert np.abs(blocks[..., 0, 1]).max() > 0.1
+    assert _grid_blocks(spec, indices).tobytes() == blocks.tobytes()
 
 
 def test_verify_rejects_bad_radii():
