@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .fredholm import _matrix_from_json, _matrix_to_json
+from .fredholm import _check_radius, _matrix_from_json, _matrix_to_json
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
 U_TOL = 1e-10
@@ -155,8 +155,7 @@ class SpectrumWindow:
     eigenvalues: list[tuple[float, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValidationError(f"window radius must be positive, got {self.epsilon}")
+        _check_radius(self.epsilon)
         prev = None
         for value, mult in self.eigenvalues:
             if abs(value) >= self.epsilon:
@@ -265,8 +264,7 @@ def analytic_spectrum(
     scale: float = 1.0,
 ) -> SpectrumWindow:
     """Closed-form window spectrum { 2*pi*scale*(n + delta + theta_j) } cap (-eps, eps)."""
-    if epsilon <= 0:
-        raise ValidationError(f"window radius must be positive, got {epsilon}")
+    _check_radius(epsilon)
     if scale <= 0:
         raise ValidationError(f"scale must be positive, got {scale}")
     quantum = 2.0 * math.pi * scale
@@ -312,6 +310,18 @@ def mode_blocks(log: np.ndarray, delta: float, n_modes: int, scale: float = 1.0)
     shifts = np.arange(-n_modes, n_modes + 1) + delta
     eye = np.eye(log.shape[-1], dtype=complex)
     return quantum * (shifts[:, None, None] * eye + log[..., None, :, :])
+
+
+def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
+    """Eigenvalues of `mode_blocks(log, delta, n_modes)` from those of `log`.
+
+    The blocks share the eigenbasis of `log`, so from its ascending (..., k)
+    eigen-angles block n has eigenvalues 2*pi*(n + delta + theta_j), listed
+    n slowest and theta ascending like a batched eigvalsh of the blocks.
+    """
+    shifts = np.arange(-n_modes, n_modes + 1) + delta
+    ladder = 2.0 * math.pi * (shifts[:, None] + angles[..., None, :])
+    return ladder.reshape(*angles.shape[:-1], -1)
 
 
 def dense_operator(blocks: np.ndarray) -> np.ndarray:
@@ -389,8 +399,7 @@ def truncation_spectrum(
     scale: float = 1.0,
 ) -> SpectrumWindow:
     """Window spectrum of the truncation, diagonalizing block by block."""
-    if epsilon <= 0:
-        raise ValidationError(f"window radius must be positive, got {epsilon}")
+    _check_radius(epsilon)
     blocks = truncation_blocks(h, s, n_modes, u_tol=u_tol, r_tol=r_tol, scale=scale)
     w = np.linalg.eigvalsh(blocks).ravel()
     values = [float(v) for v in w[np.abs(w) < epsilon]]

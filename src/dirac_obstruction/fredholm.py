@@ -91,12 +91,17 @@ def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
+def _check_radius(epsilon: float) -> None:
+    """Reject a window radius that is not a positive finite number, nan included."""
+    if not 0.0 < epsilon < np.inf:
+        raise ValidationError(f"window radius must be positive and finite, got {epsilon}")
+
+
 def shift_levels(k: int, epsilon: float) -> list[float]:
     """The k+1 equispaced shift levels j * epsilon / (k + 1), j = 0..k."""
     if k < 0:
         raise ValidationError(f"shift count must be >= 0, got {k}")
-    if epsilon <= 0:
-        raise ValidationError(f"window radius must be positive, got {epsilon}")
+    _check_radius(epsilon)
     return [j * epsilon / (k + 1) for j in range(k + 1)]
 
 
@@ -151,8 +156,7 @@ def count_in_window(
     names the first offending row in C order, through `label(row)` when
     `label` is callable.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"window radius must be positive, got {epsilon}")
+    _check_radius(epsilon)
     w = np.asarray(eigenvalues, dtype=float)
     if w.size:
         rows = w.reshape(-1, w.shape[-1])
@@ -337,31 +341,14 @@ class CoverReport:
         }
 
 
-def _cover_from_spectra(
-    ids: Sequence[str], spectra: np.ndarray, k: int, epsilon: float, inv_tol: float
-) -> CoverReport:
-    """Cover decision for a (points, dim) array of spectra."""
-    levels = shift_levels(k, epsilon)
-    lo = inv_tol / AMBIGUITY_DECADE
-    hi = inv_tol * AMBIGUITY_DECADE
-    # sigma_min of A - a I for every point (rows) and level (columns)
-    sigma = np.stack([np.abs(spectra - a).min(axis=1) for a in levels], axis=1)
-    inside = sigma > hi
-    ids = np.asarray(ids, dtype=object)
-    sets = [ids[column].tolist() for column in inside.T]
-    uncovered = ids[~inside.any(axis=1)].tolist()
-    indeterminate = [
-        {"id": ids[p], "shift_index": int(j), "sigma_min": float(sigma[p, j])}
-        for p, j in np.argwhere(~inside & (sigma >= lo))
-    ]
-    return CoverReport(
-        k=k,
-        epsilon=epsilon,
-        sets=sets,
-        covered=not uncovered,
-        uncovered_ids=uncovered,
-        indeterminate=indeterminate,
-    )
+def _cover_from_spectra(spectra: np.ndarray, k: int, epsilon: float, inv_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cover decision for a (points, dim) array of spectra.
+
+    Returns sigma_min of A - a_j I for every point (rows) and shift level
+    (columns), and the mask of entries safely above the ambiguity band.
+    """
+    sigma = np.stack([np.abs(spectra - a).min(axis=1) for a in shift_levels(k, epsilon)], axis=1)
+    return sigma, sigma > inv_tol * AMBIGUITY_DECADE
 
 
 def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = INV_TOL) -> CoverReport:
@@ -375,7 +362,15 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     eigenvalues, pigeonhole over the k+1 levels guarantees a full cover.
     """
     ops = np.array([p.op for p in fam.points], dtype=complex).reshape(-1, fam.dim, fam.dim)
-    return _cover_from_spectra(fam.ids, np.linalg.eigvalsh(ops), k, epsilon, inv_tol)
+    sigma, inside = _cover_from_spectra(np.linalg.eigvalsh(ops), k, epsilon, inv_tol)
+    ids = np.asarray(fam.ids, dtype=object)
+    uncovered = ids[~inside.any(axis=1)].tolist()
+    indeterminate = [
+        {"id": ids[p], "shift_index": int(j), "sigma_min": float(sigma[p, j])}
+        for p, j in np.argwhere(~inside & (sigma >= inv_tol / AMBIGUITY_DECADE))
+    ]
+    sets = [ids[column].tolist() for column in inside.T]
+    return CoverReport(k, epsilon, sets, covered=not uncovered, uncovered_ids=uncovered, indeterminate=indeterminate)
 
 
 def _flow(ops: Mapping[str, np.ndarray], path: PathSpec, eta: float) -> int:

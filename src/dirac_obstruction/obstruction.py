@@ -21,6 +21,7 @@ from .circle_dirac import (
     I_TOL,
     HolonomySpec,
     SpinStructure,
+    _mode_spectra,
     dense_operator,
     kernel_dim,
     mode_blocks,
@@ -100,44 +101,40 @@ def _diagonal_logs(angles: np.ndarray) -> np.ndarray:
     return angles[..., None, :] * np.eye(angles.shape[-1])
 
 
-def _grid_blocks(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
-    """Mode blocks of every grid point's truncated operator, (P, 2N+1, k, k)."""
+def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
+    """Hermitian angle matrices of every grid point's holonomy, (P, k, k)."""
     angles = indices / spec.resolution
     if spec.diagonal_only:
-        logs = _diagonal_logs(angles)
-    else:
-        # conjugated logs u diag(theta) u* with the same eigen-angles; the Haar
-        # unitaries come from one batched QR and one generator per grid, so
-        # runs are reproducible
-        rng = np.random.default_rng([spec.k, spec.resolution, spec.truncation])
-        shape = (len(angles), spec.k, spec.k)
-        q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        u = q * (d / np.abs(d))[:, None, :]
-        logs = (u * angles[:, None, :]) @ u.conj().swapaxes(-1, -2)
-        logs = (logs + logs.conj().swapaxes(-1, -2)) / 2.0
-    return mode_blocks(logs, float(spec.spin.delta), spec.truncation)
+        return _diagonal_logs(angles)
+    # conjugated logs u diag(theta) u* with the same eigen-angles; the Haar
+    # unitaries come from one batched QR and one generator per grid, so runs
+    # are reproducible
+    rng = np.random.default_rng([spec.k, spec.resolution, spec.truncation])
+    shape = (len(angles), spec.k, spec.k)
+    q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    logs = (u * angles[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return (logs + logs.conj().swapaxes(-1, -2)) / 2.0
 
 
 def tautological_family(spec: TorusGridSpec) -> SampledFamily:
     """Truncated operators over the whole grid, with wrap-around adjacency."""
     indices = _grid_indices(spec)
-    ops = dense_operator(_grid_blocks(spec, indices))
+    blocks = mode_blocks(_grid_logs(spec, indices), float(spec.spin.delta), spec.truncation)
     rows = [tuple(idx) for idx in indices.tolist()]
     points = [
         FamilyPoint(point_id(idx), op, coords)
-        for idx, op, coords in zip(rows, ops, indices / spec.resolution)
+        for idx, op, coords in zip(rows, dense_operator(blocks), indices / spec.resolution)
     ]
     edges: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
     for idx in rows:
         for axis in range(spec.k):
+            # for m = 2 the wrap edge from 1 is the edge already added from 0
+            if spec.resolution == 2 and idx[axis] == 1:
+                continue
             neighbor = idx[:axis] + ((idx[axis] + 1) % spec.resolution,) + idx[axis + 1 :]
-            a, b = point_id(idx), point_id(neighbor)
-            key = frozenset((a, b))
-            if key not in seen:
-                seen.add(key)
-                edges.append((a, b))
+            edges.append((point_id(idx), point_id(neighbor)))
     return SampledFamily(spec.dim, points, edges)
 
 
@@ -246,17 +243,18 @@ def verify_contrapositive(
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))
     nonzero = not product.is_zero()
 
-    # one batched eigensolve; every radius, guard and cover reads this array
+    # one eigensolve of the k x k logs: the mode blocks share each log's
+    # eigenbasis, so every radius, guard and cover reads their ladders
     indices = _grid_indices(spec)
-    ids = [point_id(idx) for idx in indices.tolist()]
-    spectra = np.linalg.eigvalsh(_grid_blocks(spec, indices)).reshape(len(indices), spec.dim)
+    angles = np.linalg.eigvalsh(_grid_logs(spec, indices))
+    spectra = _mode_spectra(angles, float(spec.spin.delta), spec.truncation)
     if bounded:
         spectra = _bounded_values(spectra)
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
         effective = bounded_scalar(eps) if bounded else eps
-        counts = count_in_window(spectra, effective, b_tol=b_tol, label=lambda row: f"grid point {ids[row]}")
+        counts = count_in_window(spectra, effective, b_tol=b_tol, label=lambda r: f"grid point {point_id(indices[r])}")
         best = int(np.argmax(counts))  # ties resolve to the first maximum in grid order
         max_count = int(counts[best])
         witness_angles = (indices[best] / spec.resolution).tolist()
@@ -265,13 +263,14 @@ def verify_contrapositive(
         )
         cover_ok: bool | None = None
         if cover_check:
-            cover_ok = _cover_from_spectra(ids, spectra, max_count, effective, inv_tol).covered
+            _, inside = _cover_from_spectra(spectra, max_count, effective, inv_tol)
+            cover_ok = bool(inside.any(axis=1).all())
         reports.append(
             EpsilonReport(
                 epsilon=eps,
                 effective_epsilon=effective,
                 max_count=max_count,
-                witness_id=ids[best],
+                witness_id=point_id(indices[best]),
                 witness_coords=witness_angles,
                 witness_kernel_dim=wit_kernel,
                 cover_ok=cover_ok,

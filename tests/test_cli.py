@@ -364,6 +364,17 @@ def test_verify_boundary_eigenvalue_names_first_grid_point(capsys):
     assert "at grid point 1 lies within" in err
 
 
+def test_verify_boundary_error_golden_stderr(capsys):
+    # exact stderr bytes: the guard names the first offending grid point in
+    # grid order and prints the eigenvalue's bits from the mode ladder
+    code, out, err = run_cli(capsys, "verify", "--k", "3", "--resolution", "6", "--epsilons", "1.0471975511965976")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: eigenvalue -1.0471975511965979 at grid point 0_0_2 lies within 1.0e-08 of the "
+        "window edge +-1.0471975511965976; perturb epsilon\n"
+    )
+
+
 # stdout and --output bytes of `verify --k 2 --resolution 6 --conjugated
 # --bounded --epsilons 2,0.7,0.05`; the Haar draws must not move any count,
 # witness or cover decision

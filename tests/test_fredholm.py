@@ -11,10 +11,14 @@ from dirac_obstruction import (
     BoundaryAmbiguityError,
     EndpointDegeneracyError,
     FamilyPoint,
+    HolonomySpec,
     PathSpec,
     RefinementRequiredError,
     SampledFamily,
+    SpectrumWindow,
+    SpinStructure,
     ValidationError,
+    analytic_spectrum,
     bounded_transform,
     build_cover,
     count_in_window,
@@ -24,6 +28,7 @@ from dirac_obstruction import (
     spectral_count,
     spectral_flow,
     truncation_from_angles,
+    truncation_spectrum,
 )
 
 
@@ -111,6 +116,25 @@ def test_shift_levels_spacing():
         shift_levels(-1, 0.5)
     with pytest.raises(ValidationError):
         shift_levels(2, 0.0)
+
+
+WINDOW_ENTRY_POINTS = {
+    "shift_levels": lambda eps: shift_levels(2, eps),
+    "count_in_window": lambda eps: count_in_window([0.1, 0.2], eps),
+    "spectral_count": lambda eps: spectral_count(np.diag([0.1, 5.0]), eps),
+    "build_cover": lambda eps: build_cover(family_of([np.diag([0.1, 5.0])]), 1, eps),
+    "SpectrumWindow": lambda eps: SpectrumWindow(eps),
+    "analytic_spectrum": lambda eps: analytic_spectrum(HolonomySpec.identity(1), SpinStructure(), eps),
+    "truncation_spectrum": lambda eps: truncation_spectrum(HolonomySpec.identity(1), SpinStructure(), 2, eps),
+}
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
+def test_window_radius_must_be_positive_and_finite(entry, epsilon):
+    # nan compares false both ways, so only 0 < epsilon < inf rejects it
+    with pytest.raises(ValidationError, match="window radius must be positive and finite"):
+        WINDOW_ENTRY_POINTS[entry](epsilon)
 
 
 def test_zeroth_shift_is_identity_map():

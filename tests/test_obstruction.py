@@ -24,7 +24,8 @@ from dirac_obstruction import (
     truncation_from_angles,
     verify_contrapositive,
 )
-from dirac_obstruction.obstruction import _grid_blocks, _grid_indices, parse_point_id, point_id
+from dirac_obstruction.circle_dirac import mode_blocks
+from dirac_obstruction.obstruction import _grid_indices, _grid_logs, parse_point_id, point_id
 
 HALF = SpinStructure(Fraction(1, 2))
 ZERO = SpinStructure(Fraction(0))
@@ -62,6 +63,9 @@ def test_tautological_family_smallest_grid():
     assert fam.edges == [("0", "1")]
     w = np.linalg.eigvalsh(fam.point("1").op)
     assert np.allclose(w, [0.0, 2 * math.pi, 4 * math.pi], atol=1e-12)
+    # on the 2 x 2 grid every axis keeps only the edge leaving coordinate 0
+    square = tautological_family(TorusGridSpec(k=2, resolution=2, truncation=1))
+    assert square.edges == [("0_0", "1_0"), ("0_0", "0_1"), ("0_1", "1_1"), ("1_0", "1_1")]
 
 
 def test_tautological_family_square_grid():
@@ -156,18 +160,39 @@ def test_verify_conjugated_sampling_matches_diagonal_counts():
 @pytest.mark.parametrize("spin", [ZERO, HALF], ids=["delta_0", "delta_half"])
 def test_conjugated_grid_blocks_have_planted_spectra(spin):
     # every conjugated log u diag(idx/m) u* is built from its planted angles,
-    # so each block is Hermitian with the closed-form spectrum
+    # so it is Hermitian with eigen-angles idx/m, and its mode blocks have the
+    # closed-form spectrum
     spec = TorusGridSpec(k=3, resolution=6, spin=spin, truncation=2, diagonal_only=False)
     indices = _grid_indices(spec)
-    blocks = _grid_blocks(spec, indices)
-    assert blocks.shape == (216, 5, 3, 3)
-    assert np.array_equal(blocks, blocks.conj().swapaxes(-1, -2))
+    logs = _grid_logs(spec, indices)
+    assert logs.shape == (216, 3, 3)
+    assert np.array_equal(logs, logs.conj().swapaxes(-1, -2))
+    np.testing.assert_allclose(np.linalg.eigvalsh(logs), np.sort(indices / 6, axis=-1), rtol=0, atol=1e-12)
+    # the off-diagonal entries show that the grid really is conjugated
+    assert np.abs(logs[..., 0, 1]).max() > 0.1
+    assert _grid_logs(spec, indices).tobytes() == logs.tobytes()
+    blocks = mode_blocks(logs, float(spin.delta), spec.truncation)
     modes = np.arange(-2, 3)[None, :, None]
     closed = 2 * np.pi * (modes + float(spin.delta) + indices[:, None, :] / 6)
     np.testing.assert_allclose(np.linalg.eigvalsh(blocks), np.sort(closed, axis=-1), rtol=0, atol=1e-12)
-    # the off-diagonal entries show that the grid really is conjugated
-    assert np.abs(blocks[..., 0, 1]).max() > 0.1
-    assert _grid_blocks(spec, indices).tobytes() == blocks.tobytes()
+
+
+@pytest.mark.parametrize("diagonal_only", [True, False])
+def test_verify_diagonalises_each_grid_log_once(monkeypatch, diagonal_only):
+    # the mode blocks share each log's eigenbasis, so one eigensolve of the
+    # (P, k, k) logs yields every mode's spectrum
+    spec = TorusGridSpec(k=2, resolution=4, truncation=3, diagonal_only=diagonal_only)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    verdict = verify_contrapositive(spec, [2.0, 0.7, 0.05])
+    assert verdict.passed
+    assert shapes == [(16, 2, 2)]
 
 
 def test_verify_rejects_bad_radii():
