@@ -214,15 +214,17 @@ def _require_unitary(matrix: np.ndarray, u_tol: float) -> None:
 def _unitary_eigensystem(matrix: np.ndarray, u_tol: float, r_tol: float):
     """Eigen-angles in [0, 1) and an orthonormal eigenbasis of a unitary.
 
-    Uses a complex Schur decomposition: for a (numerically) normal matrix the
-    triangular factor is diagonal up to roundoff, so the Schur basis is an
-    eigenbasis.  Each pair is checked against the residual bound r_tol.
+    `np.linalg.eig` returns the diagonal of a complex Schur form T = Z* U Z
+    and eigenvectors Z X with X upper triangular, which are not orthogonal
+    inside a cluster.  One QR of them recovers Z up to column phases; for a
+    (numerically) normal matrix T is diagonal up to roundoff, so that Schur
+    basis is an eigenbasis.  Each pair is checked against the residual bound
+    r_tol.
     """
-    import scipy.linalg  # the only scipy use; deferred so importing the package stays light
-
     _require_unitary(matrix, u_tol)
-    t, z = scipy.linalg.schur(matrix, output="complex")
-    raw = np.angle(np.diagonal(t)) / (2.0 * math.pi)
+    eigenvalues, vectors = np.linalg.eig(matrix)
+    z, _ = np.linalg.qr(vectors)
+    raw = np.angle(eigenvalues) / (2.0 * math.pi)
     angles = raw % 1.0
     angles[angles >= 1.0] = 0.0
     phases = np.exp(2j * math.pi * angles)
@@ -299,17 +301,16 @@ def kernel_dim(
     return count
 
 
-def mode_blocks(log: np.ndarray, delta: float, n_modes: int, scale: float = 1.0) -> np.ndarray:
-    """Mode blocks 2*pi*scale*((n + delta) I + log), n = -N..N, as a new axis.
+def mode_blocks(log: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
+    """Mode blocks 2*pi*((n + delta) I + log), n = -N..N, as a new axis.
 
     `log` is a (..., k, k) stack of Hermitian angle matrices; the result has
     shape (..., 2N+1, k, k), so a whole grid of holonomies is built at once.
     """
     log = np.asarray(log, dtype=complex)
-    quantum = 2.0 * math.pi * scale
     shifts = np.arange(-n_modes, n_modes + 1) + delta
     eye = np.eye(log.shape[-1], dtype=complex)
-    return quantum * (shifts[:, None, None] * eye + log[..., None, :, :])
+    return 2.0 * math.pi * (shifts[:, None, None] * eye + log[..., None, :, :])
 
 
 def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
@@ -333,26 +334,9 @@ def dense_operator(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, b * k, b * k)
 
 
-def _check_truncation(n_modes: int, scale: float) -> None:
+def _check_truncation(n_modes: int) -> None:
     if n_modes < 1:
         raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
-    if scale <= 0:
-        raise ValidationError(f"scale must be positive, got {scale}")
-
-
-def truncation_blocks(
-    h: HolonomySpec,
-    s: SpinStructure,
-    n_modes: int,
-    *,
-    u_tol: float = U_TOL,
-    r_tol: float = R_TOL,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Per-mode k x k Hermitian blocks of the truncated operator, n = -N..N."""
-    _check_truncation(n_modes, scale)
-    log = holonomy_log(h, u_tol=u_tol, r_tol=r_tol)
-    return mode_blocks(log, float(s.delta), n_modes, scale)
 
 
 def fourier_truncation(
@@ -362,18 +346,17 @@ def fourier_truncation(
     *,
     u_tol: float = U_TOL,
     r_tol: float = R_TOL,
-    scale: float = 1.0,
 ) -> np.ndarray:
     """Block-diagonal Hermitian truncation of size k*(2N+1), modes |n| <= N."""
-    return dense_operator(truncation_blocks(h, s, n_modes, u_tol=u_tol, r_tol=r_tol, scale=scale))
+    _check_truncation(n_modes)
+    log = holonomy_log(h, u_tol=u_tol, r_tol=r_tol)
+    return dense_operator(mode_blocks(log, float(s.delta), n_modes))
 
 
 def truncation_from_angles(
     angles: Sequence[float],
     delta: Union[float, Fraction],
     n_modes: int,
-    *,
-    scale: float = 1.0,
 ) -> np.ndarray:
     """Truncated operator for raw (unnormalized) angles.
 
@@ -382,9 +365,9 @@ def truncation_from_angles(
     need: the matrix at angle 1 is the ladder of angle 0 shifted by one full
     quantum, not the same matrix.
     """
-    _check_truncation(n_modes, scale)
+    _check_truncation(n_modes)
     log = np.diag(np.asarray(angles, dtype=float))
-    return dense_operator(mode_blocks(log, float(delta), n_modes, scale))
+    return dense_operator(mode_blocks(log, float(delta), n_modes))
 
 
 def truncation_spectrum(
@@ -396,11 +379,16 @@ def truncation_spectrum(
     u_tol: float = U_TOL,
     r_tol: float = R_TOL,
     c_tol: float = C_TOL,
-    scale: float = 1.0,
 ) -> SpectrumWindow:
-    """Window spectrum of the truncation, diagonalizing block by block."""
+    """Window spectrum of the truncation, read off the holonomy's eigen-angles.
+
+    The truncation is block diagonal and every mode block shares the
+    eigenbasis of the log, so its spectrum is the ladder
+    2*pi*(n + delta + theta_j), |n| <= N; no block is built or diagonalized.
+    """
     _check_radius(epsilon)
-    blocks = truncation_blocks(h, s, n_modes, u_tol=u_tol, r_tol=r_tol, scale=scale)
-    w = np.linalg.eigvalsh(blocks).ravel()
+    _check_truncation(n_modes)
+    angles = np.asarray(holonomy_angles(h, u_tol=u_tol, r_tol=r_tol))
+    w = _mode_spectra(angles, float(s.delta), n_modes)
     values = [float(v) for v in w[np.abs(w) < epsilon]]
     return SpectrumWindow(epsilon, cluster_values(values, c_tol))

@@ -26,7 +26,7 @@ from .circle_dirac import (
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
 from .errors import DiracObstructionError, ValidationError
-from .fredholm import B_TOL, H_TOL, INV_TOL, PathSpec, SampledFamily, build_cover, spectral_flow
+from .fredholm import B_TOL, H_TOL, INV_TOL, PathSpec, SampledFamily, _load_json, build_cover, spectral_flow
 from .obstruction import TorusGridSpec, verify_contrapositive
 
 EXIT_OK = 0
@@ -56,14 +56,6 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON in {path}: {exc}")
-
-
 def _holonomy_from_args(args: argparse.Namespace) -> HolonomySpec:
     if (args.holonomy is None) == (args.angles is None):
         raise ValidationError("give exactly one of a holonomy file and --angles")
@@ -72,7 +64,7 @@ def _holonomy_from_args(args: argparse.Namespace) -> HolonomySpec:
         if not tokens:
             raise ValidationError("--angles must list at least one angle")
         return HolonomySpec.from_angles(tokens)
-    return HolonomySpec.from_json(_load_json(args.holonomy))
+    return HolonomySpec.from_json(_load_json(args.holonomy, "JSON"))
 
 
 def _parse_epsilons(text: str) -> list[float]:

@@ -69,6 +69,15 @@ def _matrix_from_json(rows, what: str) -> np.ndarray:
     return m
 
 
+def _load_json(path, what: str):
+    """Parse a JSON file; text that is not UTF-8 or not JSON is a ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"malformed {what} in {path}: {exc}") from None
+
+
 def _matrix_to_json(matrix: np.ndarray) -> list:
     """Rows of [re, im] pairs, the inverse of `_matrix_from_json`."""
     return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
@@ -269,12 +278,7 @@ class SampledFamily:
 
     @classmethod
     def load(cls, path, *, h_tol: float = H_TOL) -> "SampledFamily":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed family JSON in {path}: {exc}")
-        return cls.from_json(obj, h_tol=h_tol)
+        return cls.from_json(_load_json(path, "family JSON"), h_tol=h_tol)
 
     def to_json(self) -> dict:
         out: dict = {"dim": self.dim, "points": []}

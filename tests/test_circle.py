@@ -82,10 +82,23 @@ def test_non_unitary_matrix_rejected():
         holonomy_angles(HolonomySpec.from_matrix(np.diag([1.0, 2.0])))
 
 
-def test_holonomy_log_is_hermitian_principal_branch():
+@pytest.mark.parametrize(
+    "planted",
+    [
+        None,  # four angles drawn in (0.05, 0.95) from seed 11
+        [0.5, 0.5, 0.5],  # -I
+        [0.2, 0.5, 0.5],  # diag(e^{i pi}, e^{i pi}, e^{0.4 i pi})
+        [0.3, 0.3 + 1e-12, 0.3 + 2e-12, 0.7],
+        np.sort(np.random.default_rng(8).uniform(0.0, 1.0, size=8)),
+    ],
+    ids=["seed11", "minus_identity", "repeated_pair", "cluster_1e-12", "rank8"],
+)
+def test_holonomy_log_is_hermitian_principal_branch(planted):
     rng = np.random.default_rng(11)
-    planted = rng.uniform(0.05, 0.95, size=4)
-    u = random_unitary(rng, 4)
+    if planted is None:
+        planted = rng.uniform(0.05, 0.95, size=4)
+    planted = np.asarray(planted, dtype=float)
+    u = random_unitary(rng, len(planted))
     mat = (u * np.exp(2j * math.pi * planted)[None, :]) @ u.conj().T
     log = holonomy_log(HolonomySpec.from_matrix(mat))
     assert np.max(np.abs(log - log.conj().T)) < 1e-12
@@ -94,6 +107,8 @@ def test_holonomy_log_is_hermitian_principal_branch():
     assert np.all((w > -1e-12) & (w < 1.0))
     back = (v * np.exp(2j * math.pi * w)[None, :]) @ v.conj().T
     assert np.max(np.abs(back - mat)) < 1e-9
+    got = holonomy_angles(HolonomySpec.from_matrix(mat))
+    assert np.max(np.abs(np.array(got) - np.sort(planted))) < 1e-12
 
 
 # ---------------------------------------------------------------- analytic law

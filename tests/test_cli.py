@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import dirac_obstruction
-from dirac_obstruction import FamilyPoint, SampledFamily, truncation_from_angles
+from dirac_obstruction import FamilyPoint, HolonomySpec, SampledFamily, truncation_from_angles
 from dirac_obstruction.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -22,14 +24,36 @@ def run_cli(capsys, *argv):
 
 
 @pytest.fixture
-def ladder_file(tmp_path):
+def ladder_file():
     """Lifted one-angle ladder, raw angles 0..1 in 16 steps, N = 2."""
+    return str(DATA / "ladder.json")
+
+
+def test_shipped_families_are_what_they_claim():
     angles = np.linspace(0.0, 1.0, 17)
     pts = [FamilyPoint(f"s{i}", truncation_from_angles([t], 0.5, 2)) for i, t in enumerate(angles)]
-    fam = SampledFamily(5, pts)
-    path = tmp_path / "ladder.json"
-    path.write_text(json.dumps(fam.to_json()))
-    return str(path)
+    assert json.loads((DATA / "ladder.json").read_text()) == SampledFamily(5, pts).to_json()
+    planted = SampledFamily.load(DATA / "planted.json")
+    assert planted.ids == ["p0"]
+    assert np.linalg.eigvalsh(planted.point("p0").op).tolist() == [0.0, 0.3, 2.0]
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["spectrum", "{path}", "--epsilon", "1"], "JSON"),
+        (["kernel-dim", "{path}"], "JSON"),
+        (["cover", "{path}", "--k", "1", "--epsilon", "1"], "family JSON"),
+        (["flow", "{path}", "--path", "p0", "--eta", "1"], "family JSON"),
+    ],
+    ids=["spectrum", "kernel_dim", "cover", "flow"],
+)
+def test_non_utf8_file_exits_two(capsys, tmp_path, argv, what):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed {what} in {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -455,13 +479,27 @@ def test_verify_conjugated_golden_output(capsys, tmp_path):
     assert out_path.read_bytes() == CONJUGATED_JSON.encode()
 
 
-def test_verify_conjugated_never_loads_scipy_linalg():
-    # the grid plants its eigen-angles; only holonomy matrices from files
-    # need the Schur decomposition
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--k", "2", "--resolution", "4", "--conjugated", "--epsilons", "1"],
+        ["kernel-dim", "{holonomy}"],
+        ["spectrum", "{holonomy}", "--truncation", "2", "--epsilon", "3"],
+    ],
+    ids=["verify_conjugated", "kernel_dim_matrix", "spectrum_truncation_matrix"],
+)
+def test_verify_conjugated_never_loads_scipy_linalg(tmp_path, argv):
+    # no command needs scipy: the grid plants its eigen-angles, and holonomy
+    # matrices from files are diagonalised with numpy alone
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    holonomy = tmp_path / "holonomy.json"
+    holonomy.write_text(json.dumps(HolonomySpec.from_matrix(q).to_json()))
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
         "from dirac_obstruction.cli import main\n"
-        "code = main(['verify', '--k', '2', '--resolution', '4', '--conjugated', '--epsilons', '1'])\n"
+        f"code = main({[a.format(holonomy=holonomy) for a in argv]!r})\n"
         "assert code == 0, code\n"
         "assert 'scipy.linalg' not in sys.modules\n"
     )

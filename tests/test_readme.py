@@ -8,8 +8,9 @@ from pathlib import Path
 from dirac_obstruction.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# examples that need no input file; the verify example elides its JSON
-RUNNABLE = {"spectrum", "kernel-dim", "cohomology", "verify"}
+# every subcommand; cover and flow read input files shipped under tests/data,
+# named relative to the repository root, and the verify example elides its JSON
+RUNNABLE = {"spectrum", "kernel-dim", "cohomology", "cover", "verify", "flow"}
 ELIDED_JSON = "{ ... verdict JSON ... }\n"
 
 
@@ -20,7 +21,8 @@ def test_readme_python_block_runs(capsys):
     assert capsys.readouterr().out.startswith("value,multiplicity\n")
 
 
-def test_readme_cli_examples_print_what_they_show(capsys):
+def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
     ran = set()
     for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
         command, _, expected = block.replace("\\\n", "").partition("\n")
