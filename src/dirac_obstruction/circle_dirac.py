@@ -34,6 +34,8 @@ R_TOL = 1e-9
 C_TOL = 1e-8
 # Distance to the nearest integer that still counts as integral.
 I_TOL = 1e-8
+# Most ladder values 2*pi*(n + delta + theta_j) one spectrum read may hold.
+MAX_LADDER_ENTRIES = 10**8
 
 AngleLike = Union[int, float, Fraction, str]
 
@@ -263,13 +265,10 @@ def analytic_spectrum(
     u_tol: float = U_TOL,
     r_tol: float = R_TOL,
     c_tol: float = C_TOL,
-    scale: float = 1.0,
 ) -> SpectrumWindow:
-    """Closed-form window spectrum { 2*pi*scale*(n + delta + theta_j) } cap (-eps, eps)."""
+    """Closed-form window spectrum { 2*pi*(n + delta + theta_j) } cap (-eps, eps)."""
     _check_radius(epsilon)
-    if scale <= 0:
-        raise ValidationError(f"scale must be positive, got {scale}")
-    quantum = 2.0 * math.pi * scale
+    quantum = 2.0 * math.pi
     delta = float(s.delta)
     values: list[float] = []
     for theta in holonomy_angles(h, u_tol=u_tol, r_tol=r_tol):
@@ -339,6 +338,15 @@ def _check_truncation(n_modes: int) -> None:
         raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
 
 
+def _check_ladder(entries: int) -> None:
+    """Refuse a ladder read of more than MAX_LADDER_ENTRIES values before building it."""
+    if entries > MAX_LADDER_ENTRIES:
+        raise ValidationError(
+            f"truncated spectrum of {entries} ladder values exceeds the {MAX_LADDER_ENTRIES} "
+            "value limit; lower the truncation order, resolution or rank"
+        )
+
+
 def fourier_truncation(
     h: HolonomySpec,
     s: SpinStructure,
@@ -388,6 +396,7 @@ def truncation_spectrum(
     """
     _check_radius(epsilon)
     _check_truncation(n_modes)
+    _check_ladder(h.k * (2 * n_modes + 1))
     angles = np.asarray(holonomy_angles(h, u_tol=u_tol, r_tol=r_tol))
     w = _mode_spectra(angles, float(s.delta), n_modes)
     values = [float(v) for v in w[np.abs(w) < epsilon]]

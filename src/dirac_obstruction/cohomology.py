@@ -139,11 +139,7 @@ class CohomologyClass:
         self._require_same_context(other)
         out = dict(self._terms)
         for mono, q in other._terms.items():
-            s = out.get(mono, Fraction(0)) + q
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            out[mono] = out.get(mono, 0) + q
         return CohomologyClass(self.context, out)
 
     def __neg__(self) -> "CohomologyClass":
@@ -156,8 +152,6 @@ class CohomologyClass:
 
     def scale(self, scalar: Scalar) -> "CohomologyClass":
         q = Fraction(scalar)
-        if q == 0:
-            return CohomologyClass(self.context, {})
         return CohomologyClass(self.context, {m: q * c for m, c in self._terms.items()})
 
     def __mul__(self, other):
@@ -210,11 +204,7 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
             if merged is None:
                 continue
             mono, sign = merged
-            s = out.get(mono, Fraction(0)) + sign * coeff_a * coeff_b
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            out[mono] = out.get(mono, 0) + sign * coeff_a * coeff_b
     return CohomologyClass(ctx, out)
 
 

@@ -192,24 +192,16 @@ def spectral_count(matrix, epsilon: float, *, h_tol: float = H_TOL, b_tol: float
 
 @dataclass
 class FamilyPoint:
-    """One parameter sample: an id, optional coordinates, and its operator."""
+    """One parameter sample: an id and its operator."""
 
     id: str
     op: np.ndarray
-    coords: np.ndarray | None = None
 
 
 class SampledFamily:
-    """A finite sampled family of Hermitian matrices with optional adjacency."""
+    """A finite sampled family of Hermitian matrices, read only through its operators."""
 
-    def __init__(
-        self,
-        dim: int,
-        points: Sequence[FamilyPoint],
-        edges: Sequence[tuple[str, str]] | None = None,
-        *,
-        h_tol: float = H_TOL,
-    ):
+    def __init__(self, dim: int, points: Sequence[FamilyPoint], *, h_tol: float = H_TOL):
         if dim < 1:
             raise ValidationError(f"matrix dimension must be positive, got {dim}")
         self.dim = dim
@@ -225,19 +217,9 @@ class SampledFamily:
                 raise ValidationError(
                     f"operator at {p.id!r} has shape {op.shape}, expected {(dim, dim)}"
                 )
-            coords = None if p.coords is None else np.asarray(p.coords, dtype=float)
-            clean = FamilyPoint(p.id, op, coords)
+            clean = FamilyPoint(p.id, op)
             self.points.append(clean)
             self._by_id[p.id] = clean
-        self.edges: list[tuple[str, str]] | None = None
-        if edges is not None:
-            self.edges = []
-            for a, b in edges:
-                if a not in self._by_id or b not in self._by_id:
-                    raise ValidationError(f"edge ({a!r}, {b!r}) references unknown point id")
-                if a == b:
-                    raise ValidationError(f"self-edge at {a!r}")
-                self.edges.append((a, b))
 
     @property
     def ids(self) -> list[str]:
@@ -251,6 +233,7 @@ class SampledFamily:
 
     @classmethod
     def from_json(cls, obj: dict, *, h_tol: float = H_TOL) -> "SampledFamily":
+        """Decode `{"dim", "points": [{"id", "matrix"}]}`; other keys are ignored."""
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
             raise ValidationError("family JSON must be an object with 'dim' and 'points'")
         dim = obj["dim"]
@@ -263,36 +246,16 @@ class SampledFamily:
             if not isinstance(entry, dict) or "id" not in entry or "matrix" not in entry:
                 raise ValidationError("each family point needs 'id' and 'matrix'")
             op = _matrix_from_json(entry["matrix"], f"matrix at {entry['id']!r}")
-            coords = entry.get("coords")
-            if coords is not None and not (
-                isinstance(coords, list) and all(type(c) in (int, float) for c in coords)
-            ):
-                raise ValidationError(f"coords at {entry['id']!r} must be a list of numbers")
-            points.append(FamilyPoint(str(entry["id"]), op, coords))
-        edges = obj.get("edges")
-        if edges is not None:
-            if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
-                raise ValidationError("family 'edges' must be a list of [id, id] pairs")
-            edges = [(str(a), str(b)) for a, b in edges]
-        return cls(dim, points, edges, h_tol=h_tol)
+            points.append(FamilyPoint(str(entry["id"]), op))
+        return cls(dim, points, h_tol=h_tol)
 
     @classmethod
     def load(cls, path, *, h_tol: float = H_TOL) -> "SampledFamily":
         return cls.from_json(_load_json(path, "family JSON"), h_tol=h_tol)
 
     def to_json(self) -> dict:
-        out: dict = {"dim": self.dim, "points": []}
-        for p in self.points:
-            entry: dict = {
-                "id": p.id,
-                "matrix": _matrix_to_json(p.op),
-            }
-            if p.coords is not None:
-                entry["coords"] = [float(c) for c in p.coords]
-            out["points"].append(entry)
-        if self.edges is not None:
-            out["edges"] = [[a, b] for a, b in self.edges]
-        return out
+        points = [{"id": p.id, "matrix": _matrix_to_json(p.op)} for p in self.points]
+        return {"dim": self.dim, "points": points}
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from .circle_dirac import (
     I_TOL,
     HolonomySpec,
     SpinStructure,
+    _check_ladder,
+    _check_truncation,
     _mode_spectra,
     dense_operator,
     kernel_dim,
@@ -63,8 +65,7 @@ class TorusGridSpec:
             raise ValidationError(f"rank must be positive, got k={self.k}")
         if self.resolution < 2:
             raise ValidationError(f"grid resolution must be >= 2, got {self.resolution}")
-        if self.truncation < 1:
-            raise ValidationError(f"truncation order must be >= 1, got {self.truncation}")
+        _check_truncation(self.truncation)
         if self.resolution**self.k > MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid of {self.resolution}**{self.k} points exceeds the "
@@ -119,23 +120,14 @@ def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
 
 
 def tautological_family(spec: TorusGridSpec) -> SampledFamily:
-    """Truncated operators over the whole grid, with wrap-around adjacency."""
+    """Truncated operators at every grid point, ids in lexicographic grid order.
+
+    The family holds no adjacency: `c1_pairing` checks grid edges itself.
+    """
     indices = _grid_indices(spec)
     blocks = mode_blocks(_grid_logs(spec, indices), float(spec.spin.delta), spec.truncation)
-    rows = [tuple(idx) for idx in indices.tolist()]
-    points = [
-        FamilyPoint(point_id(idx), op, coords)
-        for idx, op, coords in zip(rows, dense_operator(blocks), indices / spec.resolution)
-    ]
-    edges: list[tuple[str, str]] = []
-    for idx in rows:
-        for axis in range(spec.k):
-            # for m = 2 the wrap edge from 1 is the edge already added from 0
-            if spec.resolution == 2 and idx[axis] == 1:
-                continue
-            neighbor = idx[:axis] + ((idx[axis] + 1) % spec.resolution,) + idx[axis + 1 :]
-            edges.append((point_id(idx), point_id(neighbor)))
-    return SampledFamily(spec.dim, points, edges)
+    points = [FamilyPoint(point_id(idx), op) for idx, op in zip(indices.tolist(), dense_operator(blocks))]
+    return SampledFamily(spec.dim, points)
 
 
 @dataclass
@@ -238,6 +230,7 @@ def verify_contrapositive(
         raise ValidationError("need at least one window radius")
     if not all(0.0 < e < math.inf for e in eps_list):
         raise ValidationError(f"window radii must be positive and finite, got {eps_list}")
+    _check_ladder(spec.resolution**spec.k * spec.dim)
 
     ctx = AlgebraContext(spec.k)
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))

@@ -147,19 +147,9 @@ def test_window_multiplicity_clustering():
     assert abs(window.eigenvalues[1][0] - TWO_PI / 3) < 1e-12
 
 
-def test_window_scale_stretches_values():
-    h = HolonomySpec.from_angles([Fraction(1, 4)])
-    base = analytic_spectrum(h, ZERO, 10.0).values()
-    doubled = analytic_spectrum(h, ZERO, 10.0, scale=2.0).values()
-    assert len(base) == 3
-    assert np.allclose(doubled, [-3 * math.pi, math.pi], atol=1e-12)
-
-
 def test_window_rejects_bad_epsilon():
     with pytest.raises(ValidationError):
         analytic_spectrum(HolonomySpec.identity(1), HALF, 0.0)
-    with pytest.raises(ValidationError):
-        analytic_spectrum(HolonomySpec.identity(1), HALF, 1.0, scale=-1.0)
 
 
 def test_cluster_values_merges_within_tolerance():

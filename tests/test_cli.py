@@ -304,21 +304,6 @@ def _family_doc(first_point: str, extra: str = "") -> str:
             "family 'dim' must be an integer",
             id="dim_true",
         ),
-        pytest.param(
-            _family_doc('{"id": "a", "matrix": [[[1, 0]]]}', ', "edges": [["a"]]'),
-            "family 'edges' must be a list of [id, id] pairs",
-            id="edge_a",
-        ),
-        pytest.param(
-            _family_doc('{"id": "a", "matrix": [[[1, 0]]]}', ', "edges": 5'),
-            "family 'edges' must be a list of [id, id] pairs",
-            id="edges_5",
-        ),
-        pytest.param(
-            _family_doc('{"id": "a", "matrix": [[[1, 0]]], "coords": "xy"}'),
-            "coords at 'a' must be a list of numbers",
-            id="coords_xy",
-        ),
     ],
 )
 def test_non_finite_family_file_exit_two(capsys, tmp_path, doc, message):
@@ -328,6 +313,53 @@ def test_non_finite_family_file_exit_two(capsys, tmp_path, doc, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err
+
+
+@pytest.mark.parametrize(
+    "name, argvs",
+    [
+        (
+            "planted.json",
+            [
+                ["cover", "--k", "1", "--epsilon", "0.5"],
+                ["cover", "--k", "2", "--epsilon", "1"],
+                ["flow", "--path", "p0", "--eta", "0.5"],
+                ["flow", "--path", "p0", "--eta", "0.1"],
+            ],
+        ),
+        (
+            "ladder.json",
+            [
+                ["cover", "--k", "1", "--epsilon", "0.5"],
+                ["cover", "--k", "0", "--epsilon", "2"],
+                ["flow", "--path", ",".join(f"s{i}" for i in range(17)), "--eta", "0.6"],
+                ["flow", "--path", "s0,s1,s2", "--closed", "--eta", "0.6"],
+                ["flow", "--path", "s0,s8,s16", "--eta", "0.6"],
+            ],
+        ),
+    ],
+    ids=["planted", "ladder"],
+)
+def test_legacy_edges_and_coords_keys_are_ignored(capsys, tmp_path, name, argvs):
+    # families written by older versions carry point coordinates and an edge
+    # list; both are ignored, well-formed or not, so every command prints
+    # exactly what it prints without them
+    doc = json.loads((DATA / name).read_text())
+    ids = [p["id"] for p in doc["points"]]
+    legacy = {
+        "well_formed": {
+            "dim": doc["dim"],
+            "points": [{**p, "coords": [float(i)]} for i, p in enumerate(doc["points"])],
+            "edges": [list(e) for e in zip(ids, ids[1:])],
+        },
+        "malformed": {"dim": doc["dim"], "points": [{**p, "coords": "xy"} for p in doc["points"]], "edges": 5},
+    }
+    for label, legacy_doc in legacy.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(legacy_doc))
+        for argv in argvs:
+            expected = run_cli(capsys, argv[0], str(DATA / name), *argv[1:])
+            assert run_cli(capsys, argv[0], str(path), *argv[1:]) == expected, (label, argv)
 
 
 # ---------------------------------------------------------------- verify
@@ -507,6 +539,38 @@ def test_verify_conjugated_never_loads_scipy_linalg(tmp_path, argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["verify", "--k", "1", "--resolution", "2", "--truncation", "1000000000", "--epsilons", "1"], 4000000002),
+        (["spectrum", "--angles", "1/2", "--truncation", "1000000000", "--epsilon", "1"], 2000000001),
+        (["verify", "--k", "3", "--resolution", "100", "--truncation", "60", "--epsilons", "1"], 363000000),
+    ],
+    ids=["verify_deep_truncation", "spectrum_deep_truncation", "verify_cap_grid_n60"],
+)
+def test_ladder_budget_exits_two_before_allocating(argv, entries):
+    # under a 1 GB address-space limit a missing budget check fails with a
+    # MemoryError traceback instead of quietly allocating gigabytes
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from dirac_obstruction.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr == (
+        f"error: truncated spectrum of {entries} ladder values exceeds the 100000000 value limit; "
+        "lower the truncation order, resolution or rank\n"
+    )
 
 
 # ---------------------------------------------------------------- flow

@@ -232,10 +232,10 @@ def test_count_in_window_per_row_of_a_stack():
 # ---------------------------------------------------------------- families
 
 
-def family_of(mats, ids=None, edges=None):
+def family_of(mats, ids=None):
     dim = mats[0].shape[0]
     ids = ids or [f"p{i}" for i in range(len(mats))]
-    return SampledFamily(dim, [FamilyPoint(i, m) for i, m in zip(ids, mats)], edges)
+    return SampledFamily(dim, [FamilyPoint(i, m) for i, m in zip(ids, mats)])
 
 
 def test_family_validation():
@@ -244,10 +244,6 @@ def test_family_validation():
         family_of([eye, eye], ids=["a", "a"])
     with pytest.raises(ValidationError, match="shape"):
         SampledFamily(3, [FamilyPoint("a", eye)])
-    with pytest.raises(ValidationError, match="unknown point"):
-        family_of([eye, eye], ids=["a", "b"], edges=[("a", "zz")])
-    with pytest.raises(ValidationError, match="self-edge"):
-        family_of([eye, eye], ids=["a", "b"], edges=[("a", "a")])
 
 
 def test_family_json_round_trip(tmp_path):
@@ -255,18 +251,21 @@ def test_family_json_round_trip(tmp_path):
     fam = SampledFamily(
         2,
         [
-            FamilyPoint("a", random_hermitian(rng, 2), coords=[0.0, 0.5]),
+            FamilyPoint("a", random_hermitian(rng, 2)),
             FamilyPoint("b", random_hermitian(rng, 2)),
         ],
-        [("a", "b")],
     )
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(fam.to_json()))
     again = SampledFamily.load(path)
     assert again.ids == ["a", "b"]
-    assert again.edges == [("a", "b")]
     assert np.max(np.abs(again.point("a").op - fam.point("a").op)) < 1e-15
-    assert np.allclose(again.point("a").coords, [0.0, 0.5])
+
+
+def test_family_json_holds_dim_ids_and_matrices_only():
+    doc = family_of([np.diag([1.0, -2.0]), np.eye(2)], ids=["a", "b"]).to_json()
+    assert sorted(doc) == ["dim", "points"]
+    assert [sorted(entry) for entry in doc["points"]] == [["id", "matrix"], ["id", "matrix"]]
 
 
 def test_family_json_rejects_non_finite_and_malformed_matrices():
