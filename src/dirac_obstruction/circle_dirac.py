@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .fredholm import _check_radius, _matrix_from_json, _matrix_to_json
+from .fredholm import _bounded_values, _check_radius, _matrix_from_json, _matrix_to_json
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
 U_TOL = 1e-10
@@ -270,12 +270,16 @@ def analytic_spectrum(
     _check_radius(epsilon)
     quantum = 2.0 * math.pi
     delta = float(s.delta)
-    values: list[float] = []
+    modes = []
     for theta in holonomy_angles(h, u_tol=u_tol, r_tol=r_tol):
         shift = delta + theta
         n_lo = math.floor(-epsilon / quantum - shift) - 1
         n_hi = math.ceil(epsilon / quantum - shift) + 1
-        for n in range(n_lo, n_hi + 1):
+        modes.append((shift, range(n_lo, n_hi + 1)))
+    _check_ladder(sum(len(ns) for _, ns in modes))
+    values: list[float] = []
+    for shift, ns in modes:
+        for n in ns:
             v = quantum * (n + shift)
             if abs(v) < epsilon:
                 values.append(v)
@@ -312,6 +316,11 @@ def mode_blocks(log: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
     return 2.0 * math.pi * (shifts[:, None, None] * eye + log[..., None, :, :])
 
 
+def _rung(shift, angles):
+    """Ladder value 2*pi*((n + delta) + theta) for a shift n + delta; every ladder read uses it."""
+    return 2.0 * math.pi * (shift + angles)
+
+
 def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
     """Eigenvalues of `mode_blocks(log, delta, n_modes)` from those of `log`.
 
@@ -320,8 +329,62 @@ def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
     n slowest and theta ascending like a batched eigvalsh of the blocks.
     """
     shifts = np.arange(-n_modes, n_modes + 1) + delta
-    ladder = 2.0 * math.pi * (shifts[:, None] + angles[..., None, :])
+    ladder = _rung(shifts[:, None], angles[..., None, :])
     return ladder.reshape(*angles.shape[:-1], -1)
+
+
+def _ladder_bracket(
+    angles: np.ndarray, delta: float, n_modes: int, target: float, *, bounded: bool = False, side: str = "left"
+):
+    """Rank of `target` in the ladder of every angle, and the two rungs around it.
+
+    The ladder of an angle theta is its rungs 2*pi*(n + delta + theta), n =
+    -N..N, mapped through x / sqrt(1 + x^2) when `bounded`; it ascends in n.
+    Returns arrays shaped like `angles`: the rank counts the rungs below
+    `target` (strictly for side="left", or at most equal for side="right",
+    as in `np.searchsorted`), and `lower` / `upper` are the rungs just below
+    and just above the rank, -inf / +inf past the ends.  Each rung is
+    evaluated by the expression `_mode_spectra` uses, so any count, distance
+    or minimum read off these two rungs equals the one over the whole ladder
+    bit for bit.  That needs the rungs in order, which rounding keeps except
+    for bounded rungs within an ulp or two of +-1, past about 10**5 modes;
+    there the two rungs still straddle the target.
+    """
+    below = np.less if side == "left" else np.less_equal
+
+    def rung(n, th):
+        v = _rung(n + delta, th)  # n holds whole mode numbers as floats
+        return _bounded_values(v) if bounded else v
+
+    def around(n, th):
+        # rungs n - 1 and n, -inf / +inf for a rung past either end
+        return np.where(n > -n_modes, rung(n - 1.0, th), -math.inf), np.where(n <= n_modes, rung(n, th), math.inf)
+
+    # the mode n of the first rung not below target, guessed from the
+    # target's preimage on the raw ladder and checked against the rungs on
+    # either side: rounding can move the guess by a rung
+    if bounded:
+        raw = target / math.sqrt(1.0 - target * target) if abs(target) < 1.0 else math.copysign(math.inf, target)
+    else:
+        raw = target
+    n = np.ceil(raw / (2.0 * math.pi) - delta - angles)
+    np.clip(n, -n_modes, n_modes + 1, out=n)
+    lower, upper = around(n, angles)
+    lower_ok = below(lower, target)
+    miss = ~lower_ok | below(upper, target)
+    if miss.any():
+        # bisect the modes the guess missed, each known to lie in [lo, hi]
+        idx = np.nonzero(miss)
+        th, guess = angles[idx], n[idx]
+        lo = np.where(lower_ok[idx], guess + 1.0, -n_modes)
+        hi = np.where(lower_ok[idx], n_modes + 1, guess - 1.0)
+        while (hi > lo).any():
+            mid = np.floor((lo + hi) / 2.0)
+            under = below(rung(mid, th), target)
+            lo, hi = np.where((hi > lo) & under, mid + 1.0, lo), np.where((hi > lo) & ~under, mid, hi)
+        n[idx] = lo
+        lower[idx], upper[idx] = around(lo, th)
+    return (n + n_modes).astype(np.int64), lower, upper
 
 
 def dense_operator(blocks: np.ndarray) -> np.ndarray:

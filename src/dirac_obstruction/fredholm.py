@@ -308,14 +308,9 @@ class CoverReport:
         }
 
 
-def _cover_from_spectra(spectra: np.ndarray, k: int, epsilon: float, inv_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cover decision for a (points, dim) array of spectra.
-
-    Returns sigma_min of A - a_j I for every point (rows) and shift level
-    (columns), and the mask of entries safely above the ambiguity band.
-    """
-    sigma = np.stack([np.abs(spectra - a).min(axis=1) for a in shift_levels(k, epsilon)], axis=1)
-    return sigma, sigma > inv_tol * AMBIGUITY_DECADE
+def _safely_invertible(sigma, inv_tol: float):
+    """Smallest singular values above the ambiguity band around inv_tol."""
+    return sigma > inv_tol * AMBIGUITY_DECADE
 
 
 def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = INV_TOL) -> CoverReport:
@@ -329,7 +324,10 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     eigenvalues, pigeonhole over the k+1 levels guarantees a full cover.
     """
     ops = np.array([p.op for p in fam.points], dtype=complex).reshape(-1, fam.dim, fam.dim)
-    sigma, inside = _cover_from_spectra(np.linalg.eigvalsh(ops), k, epsilon, inv_tol)
+    spectra = np.linalg.eigvalsh(ops)
+    # sigma_min of A - a_j I for every point (rows) and shift level (columns)
+    sigma = np.stack([np.abs(spectra - a).min(axis=1) for a in shift_levels(k, epsilon)], axis=1)
+    inside = _safely_invertible(sigma, inv_tol)
     ids = np.asarray(fam.ids, dtype=object)
     uncovered = ids[~inside.any(axis=1)].tolist()
     indeterminate = [

@@ -11,6 +11,7 @@ kernel witness on the spectral side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,6 +24,7 @@ from .circle_dirac import (
     SpinStructure,
     _check_ladder,
     _check_truncation,
+    _ladder_bracket,
     _mode_spectra,
     dense_operator,
     kernel_dim,
@@ -37,9 +39,10 @@ from .fredholm import (
     PathSpec,
     SampledFamily,
     _bounded_values,
-    _cover_from_spectra,
     _flow,
+    _safely_invertible,
     count_in_window,
+    shift_levels,
 )
 
 MAX_GRID_POINTS = 10**6
@@ -207,6 +210,32 @@ class ObstructionVerdict:
         return "\n".join(lines) + "\n"
 
 
+def _window_counts(angles: np.ndarray, delta: float, n_modes: int, epsilon: float, bounded: bool):
+    """Window counts and the nearest value to an edge +-epsilon, per grid point.
+
+    `angles` holds the eigen-angles angle-major, (k, P).  Every ladder
+    ascends, so a point's count is the rank of +epsilon (values below it)
+    minus that of -epsilon (values at or below it), and its value nearest
+    to either edge is one of the rungs around them.  Both equal what
+    `count_in_window` reads off the full (P, k(2N+1)) spectra.
+    """
+    up, *around_up = _ladder_bracket(angles, delta, n_modes, epsilon, bounded=bounded)
+    down, *around_down = _ladder_bracket(angles, delta, n_modes, -epsilon, bounded=bounded, side="right")
+    edge_dist = functools.reduce(np.minimum, (np.abs(np.abs(v) - epsilon) for v in (*around_up, *around_down)))
+    return (up - down).sum(axis=0), edge_dist.min(axis=0)
+
+
+def _level_distance(angles: np.ndarray, delta: float, n_modes: int, level: float, bounded: bool) -> np.ndarray:
+    """Distance from `level` to each grid point's spectrum, (k, P) angles as above.
+
+    This is sigma_min of the operator shifted by `level`, attained at a rung
+    around the level; lower < level <= upper, so the two differences are the
+    absolute values `np.abs(spectra - level)` would hold.
+    """
+    _, lower, upper = _ladder_bracket(angles, delta, n_modes, level, bounded=bounded)
+    return np.minimum(level - lower, upper - level).min(axis=0)
+
+
 def verify_contrapositive(
     spec: TorusGridSpec,
     epsilon_list: Sequence[float],
@@ -237,17 +266,33 @@ def verify_contrapositive(
     nonzero = not product.is_zero()
 
     # one eigensolve of the k x k logs: the mode blocks share each log's
-    # eigenbasis, so every radius, guard and cover reads their ladders
+    # eigenbasis, so every radius, guard and cover reads the ladders of its
+    # eigen-angles, held angle-major (k, P) so that reductions over k are fast
     indices = _grid_indices(spec)
-    angles = np.linalg.eigvalsh(_grid_logs(spec, indices))
-    spectra = _mode_spectra(angles, float(spec.spin.delta), spec.truncation)
-    if bounded:
-        spectra = _bounded_values(spectra)
+    angles = np.ascontiguousarray(np.linalg.eigvalsh(_grid_logs(spec, indices)).T)
+    delta, n_modes = float(spec.spin.delta), spec.truncation
+    # every read goes through column chunks of about 2**14 angles, so that
+    # its temporaries stay cache-sized
+    step = max(1, 2**14 // spec.k)
+    chunks = [angles[:, i : i + step] for i in range(0, len(indices), step)]
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
         effective = bounded_scalar(eps) if bounded else eps
-        counts = count_in_window(spectra, effective, b_tol=b_tol, label=lambda r: f"grid point {point_id(indices[r])}")
+        counts, edge_dist = map(
+            np.concatenate, zip(*(_window_counts(a, delta, n_modes, effective, bounded) for a in chunks))
+        )
+        near = edge_dist <= b_tol
+        if near.any():
+            # the first offending point's own ladder raises with the usual message
+            row = int(np.argmax(near))
+            ladder = _mode_spectra(angles[:, row], delta, n_modes)
+            count_in_window(
+                _bounded_values(ladder) if bounded else ladder,
+                effective,
+                b_tol=b_tol,
+                label=f"grid point {point_id(indices[row])}",
+            )
         best = int(np.argmax(counts))  # ties resolve to the first maximum in grid order
         max_count = int(counts[best])
         witness_angles = (indices[best] / spec.resolution).tolist()
@@ -256,8 +301,11 @@ def verify_contrapositive(
         )
         cover_ok: bool | None = None
         if cover_check:
-            _, inside = _cover_from_spectra(spectra, max_count, effective, inv_tol)
-            cover_ok = bool(inside.any(axis=1).all())
+            covered = np.zeros(len(indices), dtype=bool)
+            for level in shift_levels(max_count, effective):
+                sigma = np.concatenate([_level_distance(a, delta, n_modes, level, bounded) for a in chunks])
+                covered |= _safely_invertible(sigma, inv_tol)
+            cover_ok = bool(covered.all())
         reports.append(
             EpsilonReport(
                 epsilon=eps,

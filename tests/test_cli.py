@@ -547,8 +547,9 @@ def test_verify_conjugated_never_loads_scipy_linalg(tmp_path, argv):
         (["verify", "--k", "1", "--resolution", "2", "--truncation", "1000000000", "--epsilons", "1"], 4000000002),
         (["spectrum", "--angles", "1/2", "--truncation", "1000000000", "--epsilon", "1"], 2000000001),
         (["verify", "--k", "3", "--resolution", "100", "--truncation", "60", "--epsilons", "1"], 363000000),
+        (["spectrum", "--angles", "1/3", "--epsilon", "1e12"], 318309886188),
     ],
-    ids=["verify_deep_truncation", "spectrum_deep_truncation", "verify_cap_grid_n60"],
+    ids=["verify_deep_truncation", "spectrum_deep_truncation", "verify_cap_grid_n60", "spectrum_wide_window"],
 )
 def test_ladder_budget_exits_two_before_allocating(argv, entries):
     # under a 1 GB address-space limit a missing budget check fails with a

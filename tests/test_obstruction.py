@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dirac_obstruction import (
+    BoundaryAmbiguityError,
     FamilyPoint,
     PathSpec,
     SampledFamily,
@@ -18,14 +19,25 @@ from dirac_obstruction import (
     build_cover,
     c1_pairing,
     coordinate_loop,
+    count_in_window,
+    shift_levels,
     spectral_count,
     spectral_flow,
     tautological_family,
     truncation_from_angles,
     verify_contrapositive,
 )
-from dirac_obstruction.circle_dirac import mode_blocks
-from dirac_obstruction.obstruction import _grid_indices, _grid_logs, parse_point_id, point_id
+from dirac_obstruction import circle_dirac, obstruction
+from dirac_obstruction.circle_dirac import _ladder_bracket, _mode_spectra, mode_blocks
+from dirac_obstruction.fredholm import B_TOL, _bounded_values
+from dirac_obstruction.obstruction import (
+    _grid_indices,
+    _grid_logs,
+    _level_distance,
+    _window_counts,
+    parse_point_id,
+    point_id,
+)
 
 HALF = SpinStructure(Fraction(1, 2))
 ZERO = SpinStructure(Fraction(0))
@@ -185,6 +197,109 @@ def test_verify_diagonalises_each_grid_log_once(monkeypatch, diagonal_only):
     verdict = verify_contrapositive(spec, [2.0, 0.7, 0.05])
     assert verdict.passed
     assert shapes == [(16, 2, 2)]
+
+
+@pytest.mark.parametrize("diagonal_only", [True, False])
+def test_verify_builds_no_grid_ladder(monkeypatch, diagonal_only):
+    # counts, guard and cover read the rungs around each target; only a
+    # boundary error builds a ladder, that of the one offending point
+    rows = []
+
+    def spy(angles, *args):
+        rows.append(int(np.prod(np.shape(angles)[:-1])))
+        return _mode_spectra(angles, *args)
+
+    monkeypatch.setattr(circle_dirac, "_mode_spectra", spy)
+    monkeypatch.setattr(obstruction, "_mode_spectra", spy)
+    spec = TorusGridSpec(k=2, resolution=4, truncation=3, diagonal_only=diagonal_only)
+    for bounded in (False, True):
+        assert verify_contrapositive(spec, [2.0, 0.7, 0.05], bounded=bounded).passed
+    assert rows == []
+    with pytest.raises(BoundaryAmbiguityError, match="at grid point 0_0 "):
+        verify_contrapositive(spec, [math.pi])
+    assert rows == [1]
+
+
+def _edge_angles(rng, points, k):
+    # random eigen-angles mixed with the values at the ends of [0, 1) that
+    # an eigensolver returns: exact zeros, 1 - ulp and round-off negatives
+    special = np.array([0.0, -0.0, 1.0 - 2.0**-53, -1e-17, -2.0**-52, 0.5, 1e-17])
+    angles = rng.random((points, k))
+    pick = rng.random((points, k)) < 0.4
+    angles[pick] = rng.choice(special, size=int(pick.sum()))
+    return np.sort(angles, axis=1)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["raw", "bounded"])
+@pytest.mark.parametrize("n_modes", [1, 2, 4, 7])
+@pytest.mark.parametrize("delta", [0.0, 0.5], ids=["delta_0", "delta_half"])
+def test_ladder_brackets_match_the_full_ladder(delta, n_modes, bounded):
+    # counts, edge distances, sigma and ranks read off the two rungs around
+    # each target equal those of the whole ladder, compared with ==
+    rng = np.random.default_rng([n_modes, int(2 * delta), bounded])
+    angles = _edge_angles(rng, 80, 3)
+    spectra = _mode_spectra(angles, delta, n_modes)
+    per_angle = _mode_spectra(angles[..., None], delta, n_modes)  # (P, k, 2N+1)
+    if bounded:
+        spectra, per_angle = _bounded_values(spectra), _bounded_values(per_angle)
+    # radii inside one mode, above pi, above 2 pi N and past the truncation,
+    # and radii that sit exactly on a rung of some point
+    on_rung = np.abs(_mode_spectra(angles[:4], delta, n_modes)).ravel()
+    radii = [0.05, 0.7, 2.0, 4.0, 2 * math.pi * n_modes + 0.5, 2 * math.pi * (n_modes + 2), 1e3]
+    radii += rng.choice(on_rung[on_rung > 0], size=8).tolist()
+    hits = 0
+    for eps in radii:
+        effective = bounded_scalar(eps) if bounded else eps
+        counts, edge = _window_counts(angles.T, delta, n_modes, effective, bounded)
+        assert np.array_equal(counts, np.count_nonzero(np.abs(spectra) < effective, axis=1))
+        assert np.array_equal(edge, np.abs(np.abs(spectra) - effective).min(axis=1))
+        for b_tol in (B_TOL, 0.0):
+            try:
+                full = count_in_window(spectra, effective, b_tol=b_tol)
+            except BoundaryAmbiguityError:
+                full = None
+            assert (edge <= b_tol).any() == (full is None)
+            assert full is None or np.array_equal(counts, full)
+        hits += bool((edge == 0.0).any())
+        levels = shift_levels(3, effective) + [effective, -effective]
+        for level in levels + rng.choice(spectra.ravel(), size=3).tolist():
+            sigma = _level_distance(angles.T, delta, n_modes, level, bounded)
+            assert np.array_equal(sigma, np.abs(spectra - level).min(axis=1))
+            for side, below in (("left", np.less), ("right", np.less_equal)):
+                rank, lower, upper = _ladder_bracket(angles, delta, n_modes, level, bounded=bounded, side=side)
+                assert np.array_equal(rank, below(per_angle, level).sum(axis=-1))
+                padded = np.concatenate([np.full((80, 3, 1), -np.inf), per_angle, np.full((80, 3, 1), np.inf)], axis=-1)
+                assert np.array_equal(lower, np.take_along_axis(padded, rank[..., None], -1)[..., 0])
+                assert np.array_equal(upper, np.take_along_axis(padded, rank[..., None] + 1, -1)[..., 0])
+    assert hits > 0
+
+
+def test_ladder_bracket_bisects_a_guess_that_misses():
+    # high on a deep bounded ladder the target's preimage is too coarse to
+    # guess the rank within one rung; the bracket then bisects.  Rounding
+    # there also puts some rungs out of order, so the rank equals the full
+    # count wherever the comparison with the target is monotone, and the two
+    # rungs always straddle the target
+    n_modes = 2 * 10**5
+    angles = np.array([0.0, 0.25, 1.0 - 2.0**-53])
+    missed = 0
+    for delta in (0.0, 0.5):
+        ladder = _bounded_values(_mode_spectra(angles[:, None], delta, n_modes))
+        padded = np.concatenate([np.full((3, 1), -np.inf), ladder, np.full((3, 1), np.inf)], axis=-1)
+        for x in (3e5, 6e5, 9e5, 1.2e6):
+            target = bounded_scalar(x)
+            preimage = target / math.sqrt(1.0 - target * target)
+            guess = np.clip(np.ceil(preimage / (2 * math.pi) - delta - angles), -n_modes, n_modes + 1) + n_modes
+            for side, below in (("left", np.less), ("right", np.less_equal)):
+                rank, lower, upper = _ladder_bracket(angles, delta, n_modes, target, bounded=True, side=side)
+                assert below(lower, target).all() and not below(upper, target).any()
+                assert np.array_equal(lower, padded[np.arange(3), rank])
+                assert np.array_equal(upper, padded[np.arange(3), rank + 1])
+                monotone = (np.diff(below(ladder, target).astype(int), axis=-1) <= 0).all(axis=-1)
+                full = below(ladder, target).sum(axis=-1)
+                assert np.array_equal(rank[monotone], full[monotone])
+                missed += int((np.abs(guess - full)[monotone] > 1).sum())
+    assert missed > 0
 
 
 def test_verify_rejects_bad_radii():
