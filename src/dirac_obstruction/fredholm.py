@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -338,35 +338,24 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     return CoverReport(k, epsilon, sets, covered=not uncovered, uncovered_ids=uncovered, indeterminate=indeterminate)
 
 
-def _flow(ops: Mapping[str, np.ndarray], path: PathSpec, eta: float) -> int:
-    """Spectral flow along `path`; `ops` maps each of its ids to an operator.
-
-    An operator is a dense Hermitian matrix or a (B, k, k) stack of the
-    diagonal blocks of one block-diagonal Hermitian matrix.
-    """
+def _check_eta(eta: float) -> None:
     if not eta > 0:
         raise ValidationError(f"crossing guard eta must be positive, got {eta}")
-    for a, b in path.steps():
-        delta = ops[b] - ops[a]
-        # Frobenius dominates the operator norm, so a small Frobenius value is a
-        # sufficient pass; only borderline steps pay for the exact 2-norm, which
-        # for a block stack is the largest block norm.
-        if np.linalg.norm(delta) < eta:
-            continue
-        norm = float(np.linalg.norm(delta, ord=2, axis=(-2, -1)).max())
-        if norm >= eta:
-            raise RefinementRequiredError(
-                f"step {a!r} -> {b!r} moves the operator by {norm:.6g} >= eta = {eta:.6g}; "
-                "refine the path"
-            )
-    if path.closed:
-        return 0
 
-    ends = (path.ids[0], path.ids[-1])
-    spectra = np.linalg.eigvalsh(np.stack([ops[i] for i in ends])).reshape(2, -1)
+
+def _check_step(a: str, b: str, norm: float, eta: float) -> None:
+    """Reject a path step whose operator change of norm `norm` could hide a crossing."""
+    if norm >= eta:
+        raise RefinementRequiredError(
+            f"step {a!r} -> {b!r} moves the operator by {norm:.6g} >= eta = {eta:.6g}; "
+            "refine the path"
+        )
+
+
+def _endpoint_flow(ends: tuple[str, str], spectra: np.ndarray, eta: float) -> int:
+    """n_minus(first) - n_minus(last) from the (2, n) spectra of the path ends, each gapped by eta."""
     for which, point_id, w in zip(("first", "last"), ends, spectra):
-        gap = float(np.abs(w).min())
-        if gap <= eta:
+        if float(np.abs(w).min()) <= eta:
             raise EndpointDegeneracyError(
                 f"{which} path point {point_id!r} has an eigenvalue within eta = {eta:.6g} "
                 "of zero; the endpoint count is ill-defined"
@@ -385,4 +374,14 @@ def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float) -> int:
     endpoints with no spectrum in [-eta, eta], so that their counts are
     stable.
     """
-    return _flow({i: fam.point(i).op for i in path.ids}, path, eta)
+    ops = {i: fam.point(i).op for i in path.ids}
+    _check_eta(eta)
+    for a, b in path.steps():
+        delta = ops[b] - ops[a]
+        # Frobenius dominates the 2-norm: only steps it does not pass pay for the exact 2-norm
+        if np.linalg.norm(delta) >= eta:
+            _check_step(a, b, float(np.linalg.norm(delta, ord=2)), eta)
+    if path.closed:
+        return 0
+    ends = (path.ids[0], path.ids[-1])
+    return _endpoint_flow(ends, np.linalg.eigvalsh(np.stack([ops[i] for i in ends])), eta)

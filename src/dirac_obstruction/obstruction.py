@@ -1,8 +1,9 @@
 """End-to-end obstruction check over a torus grid of twist holonomies.
 
 The sampled base is the maximal torus of diagonal holonomies: window spectra
-depend only on the eigenvalue angles, so every spectral phenomenon of the
-full unitary family already shows up on the torus, while the generator
+of the unperturbed family depend only on the eigenvalue angles, so each of
+its spectral phenomena shows up on the torus (a perturbed family's need not:
+for k >= 2, c1 ^ ... ^ ck restricts to zero there), while the generator
 product is still computed in the full exterior algebra.  The check runs the
 two sides against each other: a nonvanishing product of all k generators on
 the cohomology side, and the grid maximum of window eigenvalue counts plus a
@@ -39,7 +40,9 @@ from .fredholm import (
     PathSpec,
     SampledFamily,
     _bounded_values,
-    _flow,
+    _check_eta,
+    _check_step,
+    _endpoint_flow,
     _safely_invertible,
     count_in_window,
     shift_levels,
@@ -100,16 +103,11 @@ def _grid_indices(spec: TorusGridSpec) -> np.ndarray:
     return np.indices((spec.resolution,) * spec.k).reshape(spec.k, -1).T
 
 
-def _diagonal_logs(angles: np.ndarray) -> np.ndarray:
-    """(..., k, k) diagonal angle matrices from (..., k) rows of angles."""
-    return angles[..., None, :] * np.eye(angles.shape[-1])
-
-
 def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
     """Hermitian angle matrices of every grid point's holonomy, (P, k, k)."""
     angles = indices / spec.resolution
     if spec.diagonal_only:
-        return _diagonal_logs(angles)
+        return angles[..., None, :] * np.eye(spec.k)
     # conjugated logs u diag(theta) u* with the same eigen-angles; the Haar
     # unitaries come from one batched QR and one generator per grid, so runs
     # are reproducible
@@ -353,7 +351,9 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     one coordinate by +-1/m continuously, so a loop that winds around the
     torus ends at angles shifted by whole integers and the lifted operator
     path is open even though the base loop is closed.  Winding once upward
-    around a coordinate yields flow +1.
+    around a coordinate yields flow +1.  The flow is read off the lifted
+    ladders 2*pi*(n + delta + theta), one row per sample s0, s1, ..., with no
+    matrix, under the step and endpoint guards of `spectral_flow` (`flow`).
     """
     if not spec.diagonal_only:
         raise ValidationError("loop pairing needs the diagonal grid; conjugated samples are not continuous in the grid")
@@ -361,22 +361,22 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     seq = [parse_point_id(i, spec) for i in loop.ids]
     if loop.closed and len(seq) > 1:
         seq.append(seq[0])
-    lifted = [np.array([i / m for i in seq[0]], dtype=float)]
-    for prev, nxt in zip(seq, seq[1:]):
+    moves = np.zeros((len(seq), spec.k))
+    moves[0] = np.array(seq[0]) / m
+    for row, (prev, nxt) in enumerate(zip(seq, seq[1:]), 1):
         diffs = [(b - a) % m for a, b in zip(prev, nxt)]
         moving = [ax for ax, d in enumerate(diffs) if d != 0]
         if len(moving) != 1 or diffs[moving[0]] not in (1, m - 1):
             raise ValidationError(f"{prev} -> {nxt} is not a grid edge")
-        axis = moving[0]
         # for m = 2 both directions look alike; the upward lift is the convention
-        step = 1.0 / m if diffs[axis] == 1 else -1.0 / m
-        nxt_lifted = lifted[-1].copy()
-        nxt_lifted[axis] += step
-        lifted.append(nxt_lifted)
-
-    # each lifted sample stays a (2N+1, k, k) stack of mode blocks
-    blocks = mode_blocks(_diagonal_logs(np.array(lifted)), float(spec.spin.delta), spec.truncation)
-    ids = tuple(f"s{i}" for i in range(len(blocks)))
+        moves[row, moving[0]] = 1.0 / m if diffs[moving[0]] == 1 else -1.0 / m
+    _check_ladder(len(moves) * spec.dim, remedy="lower the truncation order or shorten the loop")
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m
-    return _flow(dict(zip(ids, blocks)), PathSpec(ids), eta)
+    _check_eta(eta)
+    # one ladder row per lifted sample; a step's diagonal difference has 2-norm max|delta rung|
+    ladders = _mode_spectra(np.cumsum(moves, axis=0), float(spec.spin.delta), spec.truncation)
+    steps = np.diff(ladders, axis=0)
+    for i, norm in enumerate(np.abs(steps, out=steps).max(axis=1)):
+        _check_step(f"s{i}", f"s{i + 1}", float(norm), eta)
+    return _endpoint_flow(("s0", f"s{len(ladders) - 1}"), ladders[[0, -1]], eta)

@@ -541,17 +541,33 @@ def test_verify_conjugated_never_loads_scipy_linalg(tmp_path, argv):
     assert result.returncode == 0, result.stderr
 
 
+TRUNCATION_REMEDY = "lower the truncation order, resolution or rank"
+
+
 @pytest.mark.parametrize(
-    "argv, entries",
+    "argv, entries, remedy",
     [
-        (["verify", "--k", "1", "--resolution", "2", "--truncation", "1000000000", "--epsilons", "1"], 4000000002),
-        (["spectrum", "--angles", "1/2", "--truncation", "1000000000", "--epsilon", "1"], 2000000001),
-        (["verify", "--k", "3", "--resolution", "100", "--truncation", "60", "--epsilons", "1"], 363000000),
-        (["spectrum", "--angles", "1/3", "--epsilon", "1e12"], 318309886188),
+        (
+            ["verify", "--k", "1", "--resolution", "2", "--truncation", "1000000000", "--epsilons", "1"],
+            4000000002,
+            TRUNCATION_REMEDY,
+        ),
+        (
+            ["spectrum", "--angles", "1/2", "--truncation", "1000000000", "--epsilon", "1"],
+            2000000001,
+            TRUNCATION_REMEDY,
+        ),
+        (
+            ["verify", "--k", "3", "--resolution", "100", "--truncation", "60", "--epsilons", "1"],
+            363000000,
+            TRUNCATION_REMEDY,
+        ),
+        # the closed form has no truncation: its ladder grows with the radius
+        (["spectrum", "--angles", "1/3", "--epsilon", "1e12"], 318309886188, "lower the window radius"),
     ],
     ids=["verify_deep_truncation", "spectrum_deep_truncation", "verify_cap_grid_n60", "spectrum_wide_window"],
 )
-def test_ladder_budget_exits_two_before_allocating(argv, entries):
+def test_ladder_budget_exits_two_before_allocating(argv, entries, remedy):
     # under a 1 GB address-space limit a missing budget check fails with a
     # MemoryError traceback instead of quietly allocating gigabytes
     script = (
@@ -569,8 +585,7 @@ def test_ladder_budget_exits_two_before_allocating(argv, entries):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert (result.returncode, result.stdout) == (2, ""), result.stderr
     assert result.stderr == (
-        f"error: truncated spectrum of {entries} ladder values exceeds the 100000000 value limit; "
-        "lower the truncation order, resolution or rank\n"
+        f"error: truncated spectrum of {entries} ladder values exceeds the 100000000 value limit; {remedy}\n"
     )
 
 

@@ -1,11 +1,16 @@
 """Grid orchestration: tautological family, verdicts, and loop pairing."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirac_obstruction
 from dirac_obstruction import (
     BoundaryAmbiguityError,
     FamilyPoint,
@@ -220,6 +225,27 @@ def test_verify_builds_no_grid_ladder(monkeypatch, diagonal_only):
     assert rows == [1]
 
 
+def test_pairing_builds_no_matrix(monkeypatch):
+    # every lifted operator is diagonal in one basis, so the flow is read off
+    # the lifted ladders: no block, eigensolve or matrix norm
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "norm"), (obstruction, "mode_blocks")):
+        spy(owner, name)
+    spec = TorusGridSpec(k=2, resolution=8, truncation=3)
+    assert c1_pairing(spec, coordinate_loop(spec, 1, (0, 0))) == 1
+    assert calls == []
+
+
 def _edge_angles(rng, points, k):
     # random eigen-angles mixed with the values at the ends of [0, 1) that
     # an eigensolver returns: exact zeros, 1 - ulp and round-off negatives
@@ -395,28 +421,61 @@ def _outcome(fn):
 
 def test_pairing_matches_dense_flow_on_lifted_family():
     # reference: the lifted path as dense truncation_from_angles matrices,
-    # with the lifted angle advanced one grid step at a time
-    spec = TorusGridSpec(k=2, resolution=8, truncation=3)
-    m = spec.resolution
+    # with the lifted angle advanced one grid step at a time; eta at the
+    # exact step norm 2*pi/m and its float neighbours pins the step guard
+    m = 8
+    step_norm = 2.0 * math.pi / m
+    etas = [(None, 3.0 * math.pi / m), (0.05, 0.05), (0.0, 0.0)]
+    etas += [(e, e) for e in (step_norm, np.nextafter(step_norm, 0.0), np.nextafter(step_norm, np.inf))]
     seen = set()
-    for axis in range(spec.k):
-        for base in np.ndindex(m, m):
-            loop = coordinate_loop(spec, axis, base)
-            back = PathSpec(tuple(reversed(loop.ids)), closed=True)
-            for path, step, count in ((loop, 1, m + 1), (back, -1, m + 1), (PathSpec(loop.ids), 1, m)):
-                angles = np.array(parse_point_id(path.ids[0], spec), dtype=float) / m
-                points = []
-                for i in range(count):
-                    points.append(FamilyPoint(f"s{i}", truncation_from_angles(angles, HALF.delta, spec.truncation)))
-                    angles = angles.copy()
-                    angles[axis] += step / m
-                fam = SampledFamily(spec.dim, points)
-                lifted = PathSpec(tuple(p.id for p in points))
-                for eta, dense_eta in ((None, 3.0 * math.pi / m), (0.05, 0.05)):
-                    got = _outcome(lambda: c1_pairing(spec, path, eta=eta))
-                    assert got == _outcome(lambda: spectral_flow(fam, lifted, dense_eta))
-                    seen.add(got[0] if got[0] != "ok" else got)
-    assert seen == {("ok", 1), ("ok", -1), "EndpointDegeneracyError", "RefinementRequiredError"}
+    for spin in (ZERO, HALF):
+        spec = TorusGridSpec(k=2, resolution=m, spin=spin, truncation=3)
+        for axis in range(spec.k):
+            for base in np.ndindex(m, m):
+                loop = coordinate_loop(spec, axis, base)
+                back = PathSpec(tuple(reversed(loop.ids)), closed=True)
+                for path, step, count in ((loop, 1, m + 1), (back, -1, m + 1), (PathSpec(loop.ids), 1, m)):
+                    angles = np.array(parse_point_id(path.ids[0], spec), dtype=float) / m
+                    points = []
+                    for i in range(count):
+                        op = truncation_from_angles(angles, spin.delta, spec.truncation)
+                        points.append(FamilyPoint(f"s{i}", op))
+                        angles = angles.copy()
+                        angles[axis] += step / m
+                    fam = SampledFamily(spec.dim, points)
+                    lifted = PathSpec(tuple(p.id for p in points))
+                    for eta, dense_eta in etas:
+                        got = _outcome(lambda: c1_pairing(spec, path, eta=eta))
+                        assert got == _outcome(lambda: spectral_flow(fam, lifted, dense_eta))
+                        seen.add(got[0] if got[0] != "ok" else got)
+    assert seen == {("ok", 1), ("ok", -1), "EndpointDegeneracyError", "RefinementRequiredError", "ValidationError"}
+
+
+def test_pairing_ladder_budget_raises_before_allocating():
+    # a (S, 2N+1) ladder of 10**9 values would need gigabytes; under a 1 GB
+    # address-space limit a missing budget check fails with a MemoryError
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from dirac_obstruction import TorusGridSpec, ValidationError, c1_pairing, coordinate_loop\n"
+        "spec = TorusGridSpec(k=1, resolution=4, truncation=10**8)\n"
+        "try:\n"
+        "    c1_pairing(spec, coordinate_loop(spec, 0, (0,)))\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (
+        "truncated spectrum of 1000000005 ladder values exceeds the 100000000 value limit; "
+        "lower the truncation order or shorten the loop\n"
+    )
 
 
 def test_pairing_rejects_non_edges_and_conjugated_grids():
