@@ -276,7 +276,7 @@ def analytic_spectrum(
         n_lo = math.floor(-epsilon / quantum - shift) - 1
         n_hi = math.ceil(epsilon / quantum - shift) + 1
         modes.append((shift, range(n_lo, n_hi + 1)))
-    _check_ladder(sum(len(ns) for _, ns in modes), remedy="lower the window radius")
+    _check_ladder(sum(len(ns) for _, ns in modes), remedy="lower the window radius", spectrum="closed-form spectrum")
     values: list[float] = []
     for shift, ns in modes:
         for n in ns:
@@ -401,11 +401,15 @@ def _check_truncation(n_modes: int) -> None:
         raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
 
 
-def _check_ladder(entries: int, remedy: str = "lower the truncation order, resolution or rank") -> None:
-    """Refuse a ladder read of more than MAX_LADDER_ENTRIES values before building it; `remedy` says how."""
+def _check_ladder(
+    entries: int,
+    remedy: str = "lower the truncation order, resolution or rank",
+    spectrum: str = "truncated spectrum",
+) -> None:
+    """Refuse a `spectrum` read of more than MAX_LADDER_ENTRIES values before building it; `remedy` says how."""
     if entries > MAX_LADDER_ENTRIES:
         raise ValidationError(
-            f"truncated spectrum of {entries} ladder values exceeds the {MAX_LADDER_ENTRIES} "
+            f"{spectrum} of {entries} ladder values exceeds the {MAX_LADDER_ENTRIES} "
             f"value limit; {remedy}"
         )
 

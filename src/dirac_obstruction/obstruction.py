@@ -27,6 +27,7 @@ from .circle_dirac import (
     _check_truncation,
     _ladder_bracket,
     _mode_spectra,
+    _rung,
     dense_operator,
     kernel_dim,
     mode_blocks,
@@ -120,6 +121,21 @@ def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
     return (logs + logs.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _grid_angle_table(spec: TorusGridSpec, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid point's eigen-angles as a 1-d table of values and a (k, P) index into it.
+
+    Row j of the angle-major index picks each point's j-th angle.  The
+    diagonal grid's angles are its m planted values i/m, the floats
+    `eigvalsh` returns for its logs, so no log is built or diagonalised.
+    The conjugated grid diagonalises its logs once and keeps the angles
+    angle-major, so that its index is a plain reshape.
+    """
+    if spec.diagonal_only:
+        return np.arange(spec.resolution) / spec.resolution, indices.T
+    table = np.linalg.eigvalsh(_grid_logs(spec, indices)).T.ravel()
+    return table, np.arange(table.size).reshape(spec.k, -1)
+
+
 def tautological_family(spec: TorusGridSpec) -> SampledFamily:
     """Truncated operators at every grid point, ids in lexicographic grid order.
 
@@ -209,29 +225,30 @@ class ObstructionVerdict:
 
 
 def _window_counts(angles: np.ndarray, delta: float, n_modes: int, epsilon: float, bounded: bool):
-    """Window counts and the nearest value to an edge +-epsilon, per grid point.
+    """Window counts and the nearest value to an edge +-epsilon, per angle of a 1-d table.
 
-    `angles` holds the eigen-angles angle-major, (k, P).  Every ladder
-    ascends, so a point's count is the rank of +epsilon (values below it)
-    minus that of -epsilon (values at or below it), and its value nearest
-    to either edge is one of the rungs around them.  Both equal what
-    `count_in_window` reads off the full (P, k(2N+1)) spectra.
+    Every ladder ascends, so an angle's count is the rank of +epsilon
+    (values below it) minus that of -epsilon (values at or below it), and
+    its value nearest to either edge is one of the rungs around them.  Summed
+    and minimised over a point's angles, both equal what `count_in_window`
+    reads off the point's full k(2N+1) spectrum.
     """
     up, *around_up = _ladder_bracket(angles, delta, n_modes, epsilon, bounded=bounded)
     down, *around_down = _ladder_bracket(angles, delta, n_modes, -epsilon, bounded=bounded, side="right")
     edge_dist = functools.reduce(np.minimum, (np.abs(np.abs(v) - epsilon) for v in (*around_up, *around_down)))
-    return (up - down).sum(axis=0), edge_dist.min(axis=0)
+    return up - down, edge_dist
 
 
 def _level_distance(angles: np.ndarray, delta: float, n_modes: int, level: float, bounded: bool) -> np.ndarray:
-    """Distance from `level` to each grid point's spectrum, (k, P) angles as above.
+    """Distance from `level` to the ladder of each angle of a 1-d table.
 
-    This is sigma_min of the operator shifted by `level`, attained at a rung
-    around the level; lower < level <= upper, so the two differences are the
-    absolute values `np.abs(spectra - level)` would hold.
+    Minimised over a point's angles this is sigma_min of its operator
+    shifted by `level`, attained at a rung around the level; lower < level
+    <= upper, so the two differences are the absolute values
+    `np.abs(spectra - level)` would hold.
     """
     _, lower, upper = _ladder_bracket(angles, delta, n_modes, level, bounded=bounded)
-    return np.minimum(level - lower, upper - level).min(axis=0)
+    return np.minimum(level - lower, upper - level)
 
 
 def verify_contrapositive(
@@ -263,28 +280,28 @@ def verify_contrapositive(
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))
     nonzero = not product.is_zero()
 
-    # one eigensolve of the k x k logs: the mode blocks share each log's
-    # eigenbasis, so every radius, guard and cover reads the ladders of its
-    # eigen-angles, held angle-major (k, P) so that reductions over k are fast
+    # the mode blocks share each log's eigenbasis, so every radius, guard and
+    # cover reads the ladders of the grid's eigen-angles.  Each read runs once
+    # per entry of the angle table, in chunks of about 2**14 entries that
+    # keep its temporaries cache-sized, and a gather through the (k, P)
+    # index reduces it over each point's k angles
     indices = _grid_indices(spec)
-    angles = np.ascontiguousarray(np.linalg.eigvalsh(_grid_logs(spec, indices)).T)
+    table, where = _grid_angle_table(spec, indices)
     delta, n_modes = float(spec.spin.delta), spec.truncation
-    # every read goes through column chunks of about 2**14 angles, so that
-    # its temporaries stay cache-sized
-    step = max(1, 2**14 // spec.k)
-    chunks = [angles[:, i : i + step] for i in range(0, len(indices), step)]
+    chunks = [table[i : i + 2**14] for i in range(0, len(table), 2**14)]
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
         effective = bounded_scalar(eps) if bounded else eps
-        counts, edge_dist = map(
+        per_angle, edge_per_angle = map(
             np.concatenate, zip(*(_window_counts(a, delta, n_modes, effective, bounded) for a in chunks))
         )
+        counts, edge_dist = per_angle[where].sum(axis=0), edge_per_angle[where].min(axis=0)
         near = edge_dist <= b_tol
         if near.any():
             # the first offending point's own ladder raises with the usual message
             row = int(np.argmax(near))
-            ladder = _mode_spectra(angles[:, row], delta, n_modes)
+            ladder = _mode_spectra(np.sort(table[where[:, row]]), delta, n_modes)
             count_in_window(
                 _bounded_values(ladder) if bounded else ladder,
                 effective,
@@ -302,7 +319,8 @@ def verify_contrapositive(
             covered = np.zeros(len(indices), dtype=bool)
             for level in shift_levels(max_count, effective):
                 sigma = np.concatenate([_level_distance(a, delta, n_modes, level, bounded) for a in chunks])
-                covered |= _safely_invertible(sigma, inv_tol)
+                # min_j sigma_j > tol exactly when every sigma_j > tol
+                covered |= _safely_invertible(sigma, inv_tol)[where].all(axis=0)
             cover_ok = bool(covered.all())
         reports.append(
             EpsilonReport(
@@ -352,7 +370,7 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     torus ends at angles shifted by whole integers and the lifted operator
     path is open even though the base loop is closed.  Winding once upward
     around a coordinate yields flow +1.  The flow is read off the lifted
-    ladders 2*pi*(n + delta + theta), one row per sample s0, s1, ..., with no
+    ladders 2*pi*(n + delta + theta) of the samples s0, s1, ..., with no
     matrix, under the step and endpoint guards of `spectral_flow` (`flow`).
     """
     if not spec.diagonal_only:
@@ -374,9 +392,15 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m
     _check_eta(eta)
-    # one ladder row per lifted sample; a step's diagonal difference has 2-norm max|delta rung|
-    ladders = _mode_spectra(np.cumsum(moves, axis=0), float(spec.spin.delta), spec.truncation)
-    steps = np.diff(ladders, axis=0)
+    # a step's diagonal difference has 2-norm max|delta rung|; the rungs of
+    # every angle but the moving one repeat bit for bit, so the moving
+    # angle's (S-1, 2N+1) rungs give the norm and no (S, k(2N+1)) ladder is built
+    lifted, delta = np.cumsum(moves, axis=0), float(spec.spin.delta)
+    shifts = np.arange(-spec.truncation, spec.truncation + 1) + delta
+    rows, axes = np.nonzero(moves[1:])  # one moving angle per step
+    steps = _rung(shifts, lifted[rows + 1, axes][:, None])
+    steps -= _rung(shifts, lifted[rows, axes][:, None])
     for i, norm in enumerate(np.abs(steps, out=steps).max(axis=1)):
         _check_step(f"s{i}", f"s{i + 1}", float(norm), eta)
-    return _endpoint_flow(("s0", f"s{len(ladders) - 1}"), ladders[[0, -1]], eta)
+    ends = _mode_spectra(lifted[[0, -1]], delta, spec.truncation)
+    return _endpoint_flow(("s0", f"s{len(lifted) - 1}"), ends, eta)

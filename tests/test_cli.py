@@ -545,29 +545,37 @@ TRUNCATION_REMEDY = "lower the truncation order, resolution or rank"
 
 
 @pytest.mark.parametrize(
-    "argv, entries, remedy",
+    "argv, entries, spectrum, remedy",
     [
         (
             ["verify", "--k", "1", "--resolution", "2", "--truncation", "1000000000", "--epsilons", "1"],
             4000000002,
+            "truncated spectrum",
             TRUNCATION_REMEDY,
         ),
         (
             ["spectrum", "--angles", "1/2", "--truncation", "1000000000", "--epsilon", "1"],
             2000000001,
+            "truncated spectrum",
             TRUNCATION_REMEDY,
         ),
         (
             ["verify", "--k", "3", "--resolution", "100", "--truncation", "60", "--epsilons", "1"],
             363000000,
+            "truncated spectrum",
             TRUNCATION_REMEDY,
         ),
         # the closed form has no truncation: its ladder grows with the radius
-        (["spectrum", "--angles", "1/3", "--epsilon", "1e12"], 318309886188, "lower the window radius"),
+        (
+            ["spectrum", "--angles", "1/3", "--epsilon", "1e12"],
+            318309886188,
+            "closed-form spectrum",
+            "lower the window radius",
+        ),
     ],
     ids=["verify_deep_truncation", "spectrum_deep_truncation", "verify_cap_grid_n60", "spectrum_wide_window"],
 )
-def test_ladder_budget_exits_two_before_allocating(argv, entries, remedy):
+def test_ladder_budget_exits_two_before_allocating(argv, entries, spectrum, remedy):
     # under a 1 GB address-space limit a missing budget check fails with a
     # MemoryError traceback instead of quietly allocating gigabytes
     script = (
@@ -585,8 +593,32 @@ def test_ladder_budget_exits_two_before_allocating(argv, entries, remedy):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert (result.returncode, result.stdout) == (2, ""), result.stderr
     assert result.stderr == (
-        f"error: truncated spectrum of {entries} ladder values exceeds the 100000000 value limit; {remedy}\n"
+        f"error: {spectrum} of {entries} ladder values exceeds the 100000000 value limit; {remedy}\n"
     )
+
+
+def test_verify_cap_grid_fits_in_384_mb():
+    # the diagonal 10**6-point grid reads its m planted angles per table
+    # entry; a (P, k, k) stack of logs and its eigensolve would not fit
+    # under this address-space limit and fail with a MemoryError
+    argv = ["verify", "--k", "6", "--resolution", "10", "--epsilons", "1,0.1,0.01"]
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**27, 3 * 2**27))\n"
+        "from dirac_obstruction.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    # one table row per radius: count 6, cover ok, pass
+    rows = [line.split() for line in result.stdout.splitlines()[1:4]]
+    assert [(row[1], *row[-2:]) for row in rows] == [("6", "ok", "pass")] * 3
 
 
 # ---------------------------------------------------------------- flow

@@ -189,7 +189,8 @@ def test_conjugated_grid_blocks_have_planted_spectra(spin):
 @pytest.mark.parametrize("diagonal_only", [True, False])
 def test_verify_diagonalises_each_grid_log_once(monkeypatch, diagonal_only):
     # the mode blocks share each log's eigenbasis, so one eigensolve of the
-    # (P, k, k) logs yields every mode's spectrum
+    # (P, k, k) logs yields every mode's spectrum; the diagonal grid's
+    # angles are its planted i/m, read with no eigensolve at all
     spec = TorusGridSpec(k=2, resolution=4, truncation=3, diagonal_only=diagonal_only)
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -201,7 +202,7 @@ def test_verify_diagonalises_each_grid_log_once(monkeypatch, diagonal_only):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     verdict = verify_contrapositive(spec, [2.0, 0.7, 0.05])
     assert verdict.passed
-    assert shapes == [(16, 2, 2)]
+    assert shapes == ([] if diagonal_only else [(16, 2, 2)])
 
 
 @pytest.mark.parametrize("diagonal_only", [True, False])
@@ -223,6 +224,27 @@ def test_verify_builds_no_grid_ladder(monkeypatch, diagonal_only):
     with pytest.raises(BoundaryAmbiguityError, match="at grid point 0_0 "):
         verify_contrapositive(spec, [math.pi])
     assert rows == [1]
+
+
+def test_verify_reads_each_table_angle_once_per_target(monkeypatch):
+    # every count, guard and cover level reads the ladder brackets once per
+    # entry of the angle table: the diagonal grid's m planted angles, or the
+    # conjugated grid's k*P eigen-angles, never once per point and angle
+    seen = {}
+
+    def spy(angles, delta, n_modes, target, **kwargs):
+        key = (target, kwargs.get("side", "left"))
+        seen[key] = seen.get(key, 0) + np.size(angles)
+        return _ladder_bracket(angles, delta, n_modes, target, **kwargs)
+
+    monkeypatch.setattr(obstruction, "_ladder_bracket", spy)
+    for diagonal_only, entries in ((True, 6), (False, 3 * 6**3)):
+        seen.clear()
+        spec = TorusGridSpec(k=3, resolution=6, truncation=3, diagonal_only=diagonal_only)
+        assert verify_contrapositive(spec, [0.7]).passed
+        # +-epsilon for the counts and the k+1 cover levels
+        assert len(seen) == 2 + 4
+        assert set(seen.values()) == {entries}
 
 
 def test_pairing_builds_no_matrix(monkeypatch):
@@ -276,7 +298,9 @@ def test_ladder_brackets_match_the_full_ladder(delta, n_modes, bounded):
     hits = 0
     for eps in radii:
         effective = bounded_scalar(eps) if bounded else eps
-        counts, edge = _window_counts(angles.T, delta, n_modes, effective, bounded)
+        # the readers return one value per angle; a point reduces over its k angles
+        each_count, each_edge = _window_counts(angles.T, delta, n_modes, effective, bounded)
+        counts, edge = each_count.sum(axis=0), each_edge.min(axis=0)
         assert np.array_equal(counts, np.count_nonzero(np.abs(spectra) < effective, axis=1))
         assert np.array_equal(edge, np.abs(np.abs(spectra) - effective).min(axis=1))
         for b_tol in (B_TOL, 0.0):
@@ -289,7 +313,7 @@ def test_ladder_brackets_match_the_full_ladder(delta, n_modes, bounded):
         hits += bool((edge == 0.0).any())
         levels = shift_levels(3, effective) + [effective, -effective]
         for level in levels + rng.choice(spectra.ravel(), size=3).tolist():
-            sigma = _level_distance(angles.T, delta, n_modes, level, bounded)
+            sigma = _level_distance(angles.T, delta, n_modes, level, bounded).min(axis=0)
             assert np.array_equal(sigma, np.abs(spectra - level).min(axis=1))
             for side, below in (("left", np.less), ("right", np.less_equal)):
                 rank, lower, upper = _ladder_bracket(angles, delta, n_modes, level, bounded=bounded, side=side)
