@@ -10,6 +10,7 @@ applied through eigendecompositions so that they act exactly on spectra.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -251,7 +252,17 @@ class SampledFamily:
 
     @classmethod
     def load(cls, path, *, h_tol: float = H_TOL) -> "SampledFamily":
-        return cls.from_json(_load_json(path, "family JSON"), h_tol=h_tol)
+        # The decoded document is an acyclic tree of lists, dicts, floats and
+        # strings that reference counting frees; the cyclic collector would
+        # only re-walk it, about a third of a large load.  The pause spans
+        # from_json too, which allocates while the whole document is alive.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls.from_json(_load_json(path, "family JSON"), h_tol=h_tol)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def to_json(self) -> dict:
         points = [{"id": p.id, "matrix": _matrix_to_json(p.op)} for p in self.points]
@@ -322,7 +333,11 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     Singular values within a decade of inv_tol are flagged indeterminate and
     conservatively kept out of U_j.  When every point has at most k window
     eigenvalues, pigeonhole over the k+1 levels guarantees a full cover.
+    A point has at most dim window eigenvalues, so k = dim already covers
+    every point and a larger k is refused before any level is built.
     """
+    if k > fam.dim:
+        raise ValidationError(f"shift count k = {k} exceeds the family dimension {fam.dim}")
     ops = np.array([p.op for p in fam.points], dtype=complex).reshape(-1, fam.dim, fam.dim)
     spectra = np.linalg.eigvalsh(ops)
     # sigma_min of A - a_j I for every point (rows) and shift level (columns)

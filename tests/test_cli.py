@@ -229,6 +229,14 @@ def test_cover_tolerance_override_echoed(capsys, tmp_path):
     assert json.loads(out)["tolerances"]["inv_tol"] == 1e-6
 
 
+def test_cover_k_beyond_dimension_exits_two(capsys):
+    # one past the dimension: a huge k would size k+1 levels if the refusal regressed
+    path = str(DATA / "planted.json")
+    code, out, err = run_cli(capsys, "cover", path, "--k", "4", "--epsilon", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: shift count k = 4 exceeds the family dimension 3\n"
+
+
 def test_cover_rejects_negative_tolerance():
     with pytest.raises(SystemExit) as exc:
         main(["cover", "whatever.json", "--k", "0", "--epsilon", "0.5", "--inv-tol", "-1"])

@@ -1,5 +1,6 @@
 """Bounded transform, shift deformations, covers, and spectral flow."""
 
+import gc
 import json
 import math
 
@@ -291,6 +292,59 @@ def test_family_load_rejects_malformed(tmp_path):
         SampledFamily.load(path)
 
 
+def test_family_load_runs_no_cyclic_collection(tmp_path):
+    # the decoded document is acyclic: the collector would only re-walk it
+    rng = np.random.default_rng(43)
+    fam = family_of([random_hermitian(rng, 8) for _ in range(300)])
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam.to_json()))
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(on_gc)
+    try:
+        again = SampledFamily.load(path)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert starts == []
+    assert again.ids == fam.ids
+    written = np.stack([p.op for p in fam.points])
+    loaded = np.stack([p.op for p in again.points])
+    assert loaded.tobytes() == written.tobytes()
+
+
+_ONE_BY_ONE = '{"id": "%s", "matrix": [[[1.0, 0.0]]]}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 1, "points": [%s]}' % (_ONE_BY_ONE % "a"), None),
+        ("{not json", "malformed"),
+        ('{"dim": 2, "points": [{"id": "a", "matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}', "not Hermitian"),
+        ('{"dim": 1, "points": [%s, %s]}' % (_ONE_BY_ONE % "a", _ONE_BY_ONE % "a"), "duplicate"),
+    ],
+    ids=["ok", "malformed", "non_hermitian", "duplicate_id"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_family_load_restores_collector_state(tmp_path, text, message, enabled):
+    path = tmp_path / "fam.json"
+    path.write_text(text)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if message is None:
+            assert SampledFamily.load(path).ids == ["a"]
+        else:
+            with pytest.raises(ValidationError, match=message):
+                SampledFamily.load(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 def test_path_spec_rules():
     p = PathSpec(("a", "b", "c"), closed=True)
     assert p.steps() == [("a", "b"), ("b", "c"), ("c", "a")]
@@ -358,6 +412,18 @@ def test_cover_indeterminate_order_is_point_major():
     assert not report.covered
     order = [(e["id"], e["shift_index"]) for e in report.indeterminate]
     assert order == [("p0", 0), ("p0", 1), ("p1", 0), ("p1", 1)]
+
+
+def test_cover_refuses_more_shifts_than_the_dimension(monkeypatch):
+    fam = family_of([np.diag([0.0, 0.3, 2.0]).astype(complex)])
+    # k = dim is the largest useful count: pigeonhole already covers every point
+    assert build_cover(fam, 3, 1.0).covered
+    # the refusal comes before any of the k+1 levels is built
+    monkeypatch.setattr("dirac_obstruction.fredholm.shift_levels", lambda k, eps: pytest.fail("levels built"))
+    with pytest.raises(ValidationError, match=r"k = 1000000000 exceeds the family dimension 3"):
+        build_cover(fam, 10**9, 1.0)
+    with pytest.raises(ValidationError, match=r"k = 4 exceeds the family dimension 3"):
+        build_cover(fam, 4, 1.0)
 
 
 # ---------------------------------------------------------------- spectral flow
