@@ -73,7 +73,9 @@ class TorusGridSpec:
         if self.resolution < 2:
             raise ValidationError(f"grid resolution must be >= 2, got {self.resolution}")
         _check_truncation(self.truncation)
-        if self.resolution**self.k > MAX_GRID_POINTS:
+        # m >= 2, so a rank past the cap's bit length exceeds the cap without
+        # computing the power, whose digits grow with k
+        if self.k > MAX_GRID_POINTS.bit_length() or self.resolution**self.k > MAX_GRID_POINTS:
             raise ValidationError(
                 f"grid of {self.resolution}**{self.k} points exceeds the "
                 f"{MAX_GRID_POINTS} point limit; lower the resolution or rank"
@@ -121,19 +123,78 @@ def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
     return (logs + logs.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _grid_angle_table(spec: TorusGridSpec, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every grid point's eigen-angles as a 1-d table of values and a (k, P) index into it.
+class _ProductGrid:
+    """The diagonal grid, read per angle: its points are all k-tuples of the m planted angles i/m.
 
-    Row j of the angle-major index picks each point's j-th angle.  The
-    diagonal grid's angles are its m planted values i/m, the floats
-    `eigvalsh` returns for its logs, so no log is built or diagonalised.
-    The conjugated grid diagonalises its logs once and keeps the angles
-    angle-major, so that its index is a plain reshape.
+    The planted angles are the floats `eigvalsh` returns for the grid's
+    logs, so no log is diagonalised.  A point's count sums its angles'
+    counts, and a point is flagged (near an edge, or not safely invertible
+    at a level) when one of its angles is, so no array over the m**k points
+    is built.
     """
-    if spec.diagonal_only:
-        return np.arange(spec.resolution) / spec.resolution, indices.T
-    table = np.linalg.eigvalsh(_grid_logs(spec, indices)).T.ravel()
-    return table, np.arange(table.size).reshape(spec.k, -1)
+
+    def __init__(self, spec: TorusGridSpec) -> None:
+        self.k = spec.k
+        self.table = np.arange(spec.resolution) / spec.resolution
+
+    def max_point(self, counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
+        # every coordinate must be a maximising angle; k copies of the first
+        # argmax are the first such point in grid order
+        i = int(np.argmax(counts))
+        return self.k * int(counts[i]), (i,) * self.k
+
+    def first_flagged(self, flags: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
+        # grid order runs the last coordinate fastest, so the first point with a
+        # flagged angle a is (0, ..., 0, a), or (0, ..., 0) when angle 0 is flagged
+        if not flags.any():
+            return None
+        point = (0,) * (self.k - 1) + (int(np.argmax(flags)),)
+        return point, self.table[list(point)]
+
+    def covered(self, safe: np.ndarray) -> bool:
+        """Whether every point clears some level, from the (levels, m) per-angle flags.
+
+        A point clears the levels in the AND of its angles' level masks.  AND
+        is idempotent, so the masks of all points are the distinct per-angle
+        masks closed under AND k - 1 times.  A level that every angle clears
+        covers every point, and k = 1 needs no closure.
+        """
+        masks = safe.T
+        if self.k == 1 or safe.all(axis=1).any():
+            return bool(masks.any(axis=1).all())
+        distinct = closed = np.unique(masks, axis=0)
+        for _ in range(self.k - 1):
+            closed = np.unique((closed[:, None] & distinct).reshape(-1, len(safe)), axis=0)
+        return bool(closed.any(axis=1).all())
+
+
+class _GatheredGrid:
+    """The conjugated grid, read per point: each point's k eigen-angles from one eigensolve of its log.
+
+    The table holds the angles angle-major, so a reshape to (k, P) lines up
+    each point's k angles in a column, in lexicographic grid order.
+    """
+
+    def __init__(self, spec: TorusGridSpec) -> None:
+        self.k = spec.k
+        self.indices = _grid_indices(spec)
+        self.table = np.linalg.eigvalsh(_grid_logs(spec, self.indices)).T.ravel()
+
+    def max_point(self, counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
+        sums = counts.reshape(self.k, -1).sum(axis=0)
+        row = int(np.argmax(sums))  # ties resolve to the first maximum in grid order
+        return int(sums[row]), tuple(self.indices[row].tolist())
+
+    def first_flagged(self, flags: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
+        per_point = flags.reshape(self.k, -1).any(axis=0)
+        if not per_point.any():
+            return None
+        row = int(np.argmax(per_point))
+        return tuple(self.indices[row].tolist()), self.table.reshape(self.k, -1)[:, row]
+
+    def covered(self, safe: np.ndarray) -> bool:
+        """Whether every point clears some level, from the (levels, k*P) per-angle flags."""
+        return bool(safe.reshape(len(safe), self.k, -1).all(axis=1).any(axis=0).all())
 
 
 def tautological_family(spec: TorusGridSpec) -> SampledFamily:
@@ -283,12 +344,13 @@ def verify_contrapositive(
     # the mode blocks share each log's eigenbasis, so every radius, guard and
     # cover reads the ladders of the grid's eigen-angles.  Each read runs once
     # per entry of the angle table, in chunks of about 2**14 entries that
-    # keep its temporaries cache-sized, and a gather through the (k, P)
-    # index reduces it over each point's k angles
-    indices = _grid_indices(spec)
-    table, where = _grid_angle_table(spec, indices)
+    # keep its temporaries cache-sized.  The grid then reduces the per-angle
+    # values to its maximum count, its first point near an edge and its
+    # cover: the diagonal grid off its m planted angles alone, the
+    # conjugated grid over each point's column of k angles
+    grid = _ProductGrid(spec) if spec.diagonal_only else _GatheredGrid(spec)
     delta, n_modes = float(spec.spin.delta), spec.truncation
-    chunks = [table[i : i + 2**14] for i in range(0, len(table), 2**14)]
+    chunks = [grid.table[i : i + 2**14] for i in range(0, len(grid.table), 2**14)]
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
@@ -296,38 +358,37 @@ def verify_contrapositive(
         per_angle, edge_per_angle = map(
             np.concatenate, zip(*(_window_counts(a, delta, n_modes, effective, bounded) for a in chunks))
         )
-        counts, edge_dist = per_angle[where].sum(axis=0), edge_per_angle[where].min(axis=0)
-        near = edge_dist <= b_tol
-        if near.any():
+        flagged = grid.first_flagged(edge_per_angle <= b_tol)
+        if flagged is not None:
             # the first offending point's own ladder raises with the usual message
-            row = int(np.argmax(near))
-            ladder = _mode_spectra(np.sort(table[where[:, row]]), delta, n_modes)
+            point, angles = flagged
+            ladder = _mode_spectra(np.sort(angles), delta, n_modes)
             count_in_window(
                 _bounded_values(ladder) if bounded else ladder,
                 effective,
                 b_tol=b_tol,
-                label=f"grid point {point_id(indices[row])}",
+                label=f"grid point {point_id(point)}",
             )
-        best = int(np.argmax(counts))  # ties resolve to the first maximum in grid order
-        max_count = int(counts[best])
-        witness_angles = (indices[best] / spec.resolution).tolist()
+        max_count, best = grid.max_point(per_angle)
+        witness_angles = [i / spec.resolution for i in best]
         wit_kernel = kernel_dim(
             HolonomySpec(spec.k, angles=witness_angles), spec.spin, i_tol=i_tol
         )
         cover_ok: bool | None = None
         if cover_check:
-            covered = np.zeros(len(indices), dtype=bool)
-            for level in shift_levels(max_count, effective):
-                sigma = np.concatenate([_level_distance(a, delta, n_modes, level, bounded) for a in chunks])
-                # min_j sigma_j > tol exactly when every sigma_j > tol
-                covered |= _safely_invertible(sigma, inv_tol)[where].all(axis=0)
-            cover_ok = bool(covered.all())
+            # a point clears a level when every one of its angles does:
+            # min_j sigma_j > tol exactly when every sigma_j > tol
+            safe = [
+                _safely_invertible(np.concatenate([_level_distance(a, delta, n_modes, lv, bounded) for a in chunks]), inv_tol)
+                for lv in shift_levels(max_count, effective)
+            ]
+            cover_ok = grid.covered(np.stack(safe))
         reports.append(
             EpsilonReport(
                 epsilon=eps,
                 effective_epsilon=effective,
                 max_count=max_count,
-                witness_id=point_id(indices[best]),
+                witness_id=point_id(best),
                 witness_coords=witness_angles,
                 witness_kernel_dim=wit_kernel,
                 cover_ok=cover_ok,

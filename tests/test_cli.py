@@ -391,6 +391,20 @@ def test_verify_resolution_one_rejected(capsys):
     assert code == 2 and "resolution" in err
 
 
+def test_verify_huge_rank_refused_without_computing_the_grid_size():
+    # 3**100000000 is a bigint that takes minutes to compute; the cap check
+    # must refuse the rank before computing it
+    argv = ["verify", "--k", "100000000", "--resolution", "3", "--epsilons", "1"]
+    script = f"import sys\nfrom dirac_obstruction.cli import main\nsys.exit(main({argv!r}))\n"
+    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: grid of 3**100000000 points exceeds the 1000000 point limit; lower the resolution or rank\n"
+    )
+
+
 def test_verify_deterministic_output(capsys):
     argv = ["verify", "--k", "1", "--resolution", "4", "--truncation", "2", "--epsilons", "1,0.25"]
     _, first, _ = run_cli(capsys, *argv)

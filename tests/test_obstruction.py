@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,8 +35,9 @@ from dirac_obstruction import (
 )
 from dirac_obstruction import circle_dirac, obstruction
 from dirac_obstruction.circle_dirac import _ladder_bracket, _mode_spectra, mode_blocks
-from dirac_obstruction.fredholm import B_TOL, _bounded_values
+from dirac_obstruction.fredholm import AMBIGUITY_DECADE, B_TOL, INV_TOL, _bounded_values
 from dirac_obstruction.obstruction import (
+    MAX_GRID_POINTS,
     _grid_indices,
     _grid_logs,
     _level_distance,
@@ -57,6 +59,8 @@ def test_grid_spec_validation():
         TorusGridSpec(k=1, resolution=4, truncation=0)
     with pytest.raises(ValidationError, match="point limit"):
         TorusGridSpec(k=3, resolution=101)
+    with pytest.raises(ValidationError, match="point limit"):
+        TorusGridSpec(k=MAX_GRID_POINTS.bit_length() + 1, resolution=2)
 
 
 def test_point_id_round_trip():
@@ -378,6 +382,94 @@ def test_verify_matches_dense_family_reference(diagonal_only, bounded):
         assert report.witness_id == family.ids[counts.index(max(counts))]
         dense = build_cover(family, report.max_count, eps)
         assert report.cover_ok is dense.covered
+
+
+def _full_ladder_reading(spec, eps, bounded, inv_tol=INV_TOL):
+    """One radius read off every point's whole k(2N+1) ladder, point by point.
+
+    Returns the id of the first point with a value within B_TOL of an edge,
+    or the max count, its first point and whether the max_count + 1 levels
+    cover the grid.  Rungs use the package's expression 2*pi*((n + delta) +
+    theta), so every comparison sees the same floats.
+    """
+    m, k = spec.resolution, spec.k
+    points = np.indices((m,) * k).reshape(k, -1).T
+    shifts = np.arange(-spec.truncation, spec.truncation + 1) + float(spec.spin.delta)
+    ladders = (2.0 * math.pi * (shifts[:, None] + points[:, None, :] / m)).reshape(len(points), -1)
+    if bounded:
+        ladders = _bounded_values(ladders)
+    eff = bounded_scalar(eps) if bounded else eps
+    near = (np.abs(np.abs(ladders) - eff) <= B_TOL).any(axis=1)
+    if near.any():
+        return point_id(points[np.argmax(near)])
+    counts = (np.abs(ladders) < eff).sum(axis=1)
+    best = int(np.argmax(counts))
+    sigma = np.stack([np.abs(ladders - a).min(axis=1) for a in shift_levels(int(counts[best]), eff)])
+    return int(counts[best]), point_id(points[best]), bool((sigma > inv_tol * AMBIGUITY_DECADE).any(axis=0).all())
+
+
+def test_product_reading_matches_full_ladders():
+    # the diagonal verdict is read off the m per-angle values; every point's
+    # whole ladder is the reference, on small grids, radii on rungs and
+    # ambiguity bands wide enough that a level blocks several angles
+    pinned = [
+        # both levels lie within the ambiguity band of the kernel: cover fails
+        (TorusGridSpec(2, 4, ZERO), 1e-7, False, INV_TOL, (2, "0_0", False)),
+        (TorusGridSpec(3, 4, ZERO), 1e-7, False, INV_TOL, (3, "0_0_0", False)),
+        # every angle clears a level, but no level clears both angles of some point
+        (TorusGridSpec(2, 3, ZERO, truncation=1), 2.0, False, 0.1, (2, "0_0", False)),
+        # every two angles clear a common level, but some three do not
+        (TorusGridSpec(3, 3, ZERO, truncation=1), 5.0, False, 0.1, (6, "1_1_1", False)),
+        # -pi/3 is a rung of angle 2/6 but not of angle 0
+        (TorusGridSpec(3, 6, HALF), 1.0471975511965976, False, INV_TOL, "0_0_2"),
+        # angles 1/4, 1/2 and 3/4 each hold one value in (-2, 2)
+        (TorusGridSpec(2, 4, HALF, truncation=2), 2.0, False, INV_TOL, (2, "1_1", True)),
+    ]
+    rng = np.random.default_rng(2024)
+    cases = [case[:4] for case in pinned]
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        m = int(rng.integers(2, (40, 12, 7, 5)[k - 1] + 1))
+        spin = (ZERO, HALF)[rng.integers(2)]
+        spec = TorusGridSpec(k, m, spin, truncation=int(rng.integers(1, 7)))
+        rung = abs(2 * math.pi * (int(rng.integers(-2, 3)) + float(spin.delta) + int(rng.integers(m)) / m))
+        eps = rung + float(rng.choice([-1e-9, 0.0, 1e-9])) if rng.random() < 0.5 else float(rng.uniform(0.01, 8))
+        inv_tol = INV_TOL if rng.random() < 0.5 else float(10 ** rng.uniform(-3, -0.7))
+        cases.append((spec, eps if eps > 0 else 1e-7, bool(rng.integers(2)), inv_tol))
+    outcomes = set()
+    for spec, eps, bounded, inv_tol in cases:
+        expected = _full_ladder_reading(spec, eps, bounded, inv_tol)
+        if isinstance(expected, str):
+            with pytest.raises(BoundaryAmbiguityError, match=f"at grid point {expected} "):
+                verify_contrapositive(spec, [eps], bounded=bounded, inv_tol=inv_tol)
+            outcomes.add("boundary")
+            continue
+        report = verify_contrapositive(spec, [eps], bounded=bounded, inv_tol=inv_tol).reports[0]
+        assert (report.max_count, report.witness_id, report.cover_ok) == expected, (spec, eps, bounded, inv_tol)
+        outcomes.add(("cover", spec.k > 1, report.cover_ok))
+    assert {"boundary", ("cover", True, False), ("cover", True, True)} <= outcomes
+    for spec, eps, bounded, inv_tol, expected in pinned:
+        assert _full_ladder_reading(spec, eps, bounded, inv_tol) == expected
+
+
+def test_diagonal_verify_allocates_nothing_per_point(monkeypatch):
+    # the 10**6-point diagonal grid is read off its 10 planted angles: no
+    # (P, k) index, no per-point gather
+    spec = TorusGridSpec(6, 10)
+    verify_contrapositive(TorusGridSpec(2, 4), [1.0])
+    tracemalloc.start()
+    try:
+        verdict = verify_contrapositive(spec, [1, 0.1, 0.01])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and peak < 2**20
+
+    def refuse(spec):
+        raise AssertionError("the diagonal grid needs no point index")
+
+    monkeypatch.setattr(obstruction, "_grid_indices", refuse)
+    assert verify_contrapositive(spec, [1, 0.1, 0.01]).to_json() == verdict.to_json()
 
 
 def test_verdict_serialization_and_table():
