@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .fredholm import _bounded_values, _check_radius, _matrix_from_json, _matrix_to_json
+from .fredholm import _bounded_values, _check_radius, _check_tol, _matrix_from_json, _matrix_to_json
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
 U_TOL = 1e-10
@@ -188,6 +188,7 @@ class SpectrumWindow:
 
 def cluster_values(values: Sequence[float], c_tol: float = C_TOL) -> list[tuple[float, int]]:
     """Group sorted values into multiplicity clusters split at gaps > c_tol."""
+    _check_tol("c_tol", c_tol)
     ordered = sorted(float(v) for v in values)
     clusters: list[tuple[float, int]] = []
     group: list[float] = []
@@ -223,6 +224,8 @@ def _unitary_eigensystem(matrix: np.ndarray, u_tol: float, r_tol: float):
     basis is an eigenbasis.  Each pair is checked against the residual bound
     r_tol.
     """
+    _check_tol("u_tol", u_tol)
+    _check_tol("r_tol", r_tol)
     _require_unitary(matrix, u_tol)
     eigenvalues, vectors = np.linalg.eig(matrix)
     z, _ = np.linalg.qr(vectors)
@@ -277,13 +280,8 @@ def analytic_spectrum(
         n_hi = math.ceil(epsilon / quantum - shift) + 1
         modes.append((shift, range(n_lo, n_hi + 1)))
     _check_ladder(sum(len(ns) for _, ns in modes), remedy="lower the window radius", spectrum="closed-form spectrum")
-    values: list[float] = []
-    for shift, ns in modes:
-        for n in ns:
-            v = quantum * (n + shift)
-            if abs(v) < epsilon:
-                values.append(v)
-    return SpectrumWindow(epsilon, cluster_values(values, c_tol))
+    values = np.concatenate([quantum * (np.arange(ns.start, ns.stop) + shift) for shift, ns in modes])
+    return SpectrumWindow(epsilon, cluster_values(values[np.abs(values) < epsilon], c_tol))
 
 
 def kernel_dim(
@@ -295,6 +293,7 @@ def kernel_dim(
     i_tol: float = I_TOL,
 ) -> int:
     """Number of angles with theta_j + delta integral, i.e. the zero modes."""
+    _check_tol("i_tol", i_tol)
     delta = float(s.delta)
     count = 0
     for theta in holonomy_angles(h, u_tol=u_tol, r_tol=r_tol):
@@ -333,24 +332,22 @@ def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
     return ladder.reshape(*angles.shape[:-1], -1)
 
 
-def _ladder_bracket(
-    angles: np.ndarray, delta: float, n_modes: int, target: float, *, bounded: bool = False, side: str = "left"
-):
-    """Rank of `target` in the ladder of every angle, and the two rungs around it.
+def _ladder_bracket(angles: np.ndarray, delta: float, n_modes: int, targets, *, bounded: bool = False):
+    """Rank of each target in the ladder of every angle, and the two rungs around it.
 
     The ladder of an angle theta is its rungs 2*pi*(n + delta + theta), n =
     -N..N, mapped through x / sqrt(1 + x^2) when `bounded`; it ascends in n.
-    Returns arrays shaped like `angles`: the rank counts the rungs below
-    `target` (strictly for side="left", or at most equal for side="right",
-    as in `np.searchsorted`), and `lower` / `upper` are the rungs just below
-    and just above the rank, -inf / +inf past the ends.  Each rung is
-    evaluated by the expression `_mode_spectra` uses, so any count, distance
-    or minimum read off these two rungs equals the one over the whole ladder
-    bit for bit.  That needs the rungs in order, which rounding keeps except
-    for bounded rungs within an ulp or two of +-1, past about 10**5 modes;
-    there the two rungs still straddle the target.
+    `targets` broadcasts against `angles`: a (T, 1) column against a 1-d
+    table gives (T, n) arrays.  The rank counts the rungs strictly below the
+    target (so at or below t for the target nextafter(t, inf)), and `lower`
+    / `upper` are the rungs just below and just above the rank, -inf / +inf
+    past the ends.  Each rung is evaluated by the expression `_mode_spectra`
+    uses, so any count, distance or minimum read off these two rungs equals
+    the one over the whole ladder bit for bit.  That needs the rungs in
+    order, which rounding keeps except for bounded rungs within an ulp or
+    two of +-1, past about 10**5 modes; there the two rungs still straddle
+    the target.
     """
-    below = np.less if side == "left" else np.less_equal
 
     def rung(n, th):
         v = _rung(n + delta, th)  # n holds whole mode numbers as floats
@@ -360,27 +357,28 @@ def _ladder_bracket(
         # rungs n - 1 and n, -inf / +inf for a rung past either end
         return np.where(n > -n_modes, rung(n - 1.0, th), -math.inf), np.where(n <= n_modes, rung(n, th), math.inf)
 
-    # the mode n of the first rung not below target, guessed from the
+    # the mode n of the first rung not below the target, guessed from the
     # target's preimage on the raw ladder and checked against the rungs on
     # either side: rounding can move the guess by a rung
+    t = np.asarray(targets, dtype=float)
+    raw = t
     if bounded:
-        raw = target / math.sqrt(1.0 - target * target) if abs(target) < 1.0 else math.copysign(math.inf, target)
-    else:
-        raw = target
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = np.where(np.abs(t) < 1.0, t / np.sqrt(1.0 - t * t), np.copysign(math.inf, t))
     n = np.ceil(raw / (2.0 * math.pi) - delta - angles)
     np.clip(n, -n_modes, n_modes + 1, out=n)
     lower, upper = around(n, angles)
-    lower_ok = below(lower, target)
-    miss = ~lower_ok | below(upper, target)
+    lower_ok = lower < t
+    miss = ~lower_ok | (upper < t)
     if miss.any():
         # bisect the modes the guess missed, each known to lie in [lo, hi]
         idx = np.nonzero(miss)
-        th, guess = angles[idx], n[idx]
+        th, tt, guess = np.broadcast_to(angles, n.shape)[idx], np.broadcast_to(t, n.shape)[idx], n[idx]
         lo = np.where(lower_ok[idx], guess + 1.0, -n_modes)
         hi = np.where(lower_ok[idx], n_modes + 1, guess - 1.0)
         while (hi > lo).any():
             mid = np.floor((lo + hi) / 2.0)
-            under = below(rung(mid, th), target)
+            under = rung(mid, th) < tt
             lo, hi = np.where((hi > lo) & under, mid + 1.0, lo), np.where((hi > lo) & ~under, mid, hi)
         n[idx] = lo
         lower[idx], upper[idx] = around(lo, th)

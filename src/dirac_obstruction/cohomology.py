@@ -54,32 +54,18 @@ def _check_monomial(monomial: Monomial, k: int) -> None:
         raise ValidationError(f"monomial indices must be strictly ascending, got {monomial}")
 
 
-def _merge(left: Monomial, right: Monomial, ctx: AlgebraContext) -> tuple[Monomial, int] | None:
+def _merge(left: Monomial, right: Monomial) -> tuple[Monomial, int] | None:
     """Merge two ascending monomials into one, tracking the reordering sign.
 
     Returns (merged, sign) or None when the monomials share a generator, in
-    which case the product vanishes.  Each time an element of `right` is
-    placed before a suffix of `left` the sign picks up (-1)**(d*e) for every
-    crossed pair of degrees d, e.
+    which case the product vanishes.  Every generator has odd degree, so
+    moving one past another flips the sign: the sign is the parity of the
+    crossed pairs x > y with x from `left` and y from `right`.
     """
-    sign = 1
-    merged: list[int] = []
-    i, j = 0, 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return None
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            crossed = sum(ctx.degree(x) for x in left[i:])
-            if (crossed * ctx.degree(right[j])) % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
+    if not set(left).isdisjoint(right):
+        return None
+    crossed = sum(x > y for x in left for y in right)
+    return tuple(sorted(left + right)), -1 if crossed % 2 else 1
 
 
 class CohomologyClass:
@@ -192,15 +178,15 @@ def generator(ctx: AlgebraContext, index: int) -> CohomologyClass:
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Product in the exterior algebra, bilinear over exact rationals.
 
-    Monomials merge with the sign of the degree-weighted reordering; a shared
-    generator index kills the term.
+    Monomials merge with the sign of their reordering; a shared generator
+    index kills the term.
     """
     a._require_same_context(b)
     ctx = a.context
     out: dict[Monomial, Fraction] = {}
     for mono_a, coeff_a in a._terms.items():
         for mono_b, coeff_b in b._terms.items():
-            merged = _merge(mono_a, mono_b, ctx)
+            merged = _merge(mono_a, mono_b)
             if merged is None:
                 continue
             mono, sign = merged

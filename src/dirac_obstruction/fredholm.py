@@ -38,6 +38,7 @@ AMBIGUITY_DECADE = 10.0
 
 def require_hermitian(matrix, h_tol: float = H_TOL, what: str = "matrix") -> np.ndarray:
     """Validate Hermitian-ness within h_tol and return the symmetrized copy."""
+    _check_tol("h_tol", h_tol)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
@@ -107,6 +108,12 @@ def _check_radius(epsilon: float) -> None:
         raise ValidationError(f"window radius must be positive and finite, got {epsilon}")
 
 
+def _check_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is negative, infinite or nan; any of them would silently weaken its guard."""
+    if not 0.0 <= value < np.inf:
+        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
+
+
 def shift_levels(k: int, epsilon: float) -> list[float]:
     """The k+1 equispaced shift levels j * epsilon / (k + 1), j = 0..k."""
     if k < 0:
@@ -167,6 +174,7 @@ def count_in_window(
     `label` is callable.
     """
     _check_radius(epsilon)
+    _check_tol("b_tol", b_tol)
     w = np.asarray(eigenvalues, dtype=float)
     if w.size:
         rows = w.reshape(-1, w.shape[-1])
@@ -338,6 +346,7 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     """
     if k > fam.dim:
         raise ValidationError(f"shift count k = {k} exceeds the family dimension {fam.dim}")
+    _check_tol("inv_tol", inv_tol)
     ops = np.array([p.op for p in fam.points], dtype=complex).reshape(-1, fam.dim, fam.dim)
     spectra = np.linalg.eigvalsh(ops)
     # sigma_min of A - a_j I for every point (rows) and shift level (columns)

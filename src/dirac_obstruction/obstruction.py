@@ -12,9 +12,8 @@ kernel witness on the spectral side.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .fredholm import (
     _bounded_values,
     _check_eta,
     _check_step,
+    _check_tol,
     _endpoint_flow,
     _safely_invertible,
     count_in_window,
@@ -222,16 +222,7 @@ class EpsilonReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "effective_epsilon": self.effective_epsilon,
-            "max_count": self.max_count,
-            "witness_id": self.witness_id,
-            "witness_coords": self.witness_coords,
-            "witness_kernel_dim": self.witness_kernel_dim,
-            "cover_ok": self.cover_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -286,30 +277,32 @@ class ObstructionVerdict:
 
 
 def _window_counts(angles: np.ndarray, delta: float, n_modes: int, epsilon: float, bounded: bool):
-    """Window counts and the nearest value to an edge +-epsilon, per angle of a 1-d table.
+    """Window counts and the nearest value to an edge +-epsilon, per angle of a table.
 
-    Every ladder ascends, so an angle's count is the rank of +epsilon
-    (values below it) minus that of -epsilon (values at or below it), and
-    its value nearest to either edge is one of the rungs around them.  Summed
-    and minimised over a point's angles, both equal what `count_in_window`
-    reads off the point's full k(2N+1) spectrum.
+    Every ladder ascends, so one read at both edges gives an angle's count
+    as the rank of +epsilon (values below it) minus that of the float above
+    -epsilon (values at or below -epsilon), and its value nearest to either
+    edge is one of the rungs around them.  Summed and minimised over a
+    point's angles, both equal what `count_in_window` reads off the point's
+    full k(2N+1) spectrum.
     """
-    up, *around_up = _ladder_bracket(angles, delta, n_modes, epsilon, bounded=bounded)
-    down, *around_down = _ladder_bracket(angles, delta, n_modes, -epsilon, bounded=bounded, side="right")
-    edge_dist = functools.reduce(np.minimum, (np.abs(np.abs(v) - epsilon) for v in (*around_up, *around_down)))
-    return up - down, edge_dist
+    edges = np.reshape([np.nextafter(-epsilon, math.inf), epsilon], (2,) + np.ndim(angles) * (1,))
+    rank, lower, upper = _ladder_bracket(angles, delta, n_modes, edges, bounded=bounded)
+    edge_dist = np.minimum(np.abs(np.abs(lower) - epsilon), np.abs(np.abs(upper) - epsilon))
+    return rank[1] - rank[0], edge_dist.min(axis=0)
 
 
-def _level_distance(angles: np.ndarray, delta: float, n_modes: int, level: float, bounded: bool) -> np.ndarray:
-    """Distance from `level` to the ladder of each angle of a 1-d table.
+def _level_distance(angles: np.ndarray, delta: float, n_modes: int, levels: Sequence[float], bounded: bool) -> np.ndarray:
+    """Distance from each of the `levels` to the ladder of each angle of a table, levels first.
 
     Minimised over a point's angles this is sigma_min of its operator
-    shifted by `level`, attained at a rung around the level; lower < level
-    <= upper, so the two differences are the absolute values
+    shifted by the level, attained at a rung around the level; lower <
+    level <= upper, so the two differences are the absolute values
     `np.abs(spectra - level)` would hold.
     """
-    _, lower, upper = _ladder_bracket(angles, delta, n_modes, level, bounded=bounded)
-    return np.minimum(level - lower, upper - level)
+    levels = np.reshape(levels, (-1,) + np.ndim(angles) * (1,))
+    _, lower, upper = _ladder_bracket(angles, delta, n_modes, levels, bounded=bounded)
+    return np.minimum(levels - lower, upper - levels)
 
 
 def verify_contrapositive(
@@ -335,29 +328,33 @@ def verify_contrapositive(
         raise ValidationError("need at least one window radius")
     if not all(0.0 < e < math.inf for e in eps_list):
         raise ValidationError(f"window radii must be positive and finite, got {eps_list}")
+    for name, tol in (("b_tol", b_tol), ("inv_tol", inv_tol), ("i_tol", i_tol)):
+        _check_tol(name, tol)
     _check_ladder(spec.resolution**spec.k * spec.dim)
 
     ctx = AlgebraContext(spec.k)
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))
     nonzero = not product.is_zero()
 
-    # the mode blocks share each log's eigenbasis, so every radius, guard and
-    # cover reads the ladders of the grid's eigen-angles.  Each read runs once
-    # per entry of the angle table, in chunks of about 2**14 entries that
-    # keep its temporaries cache-sized.  The grid then reduces the per-angle
-    # values to its maximum count, its first point near an edge and its
-    # cover: the diagonal grid off its m planted angles alone, the
-    # conjugated grid over each point's column of k angles
+    # the mode blocks share each log's eigenbasis, so each radius reads the
+    # ladders of the grid's eigen-angles twice, at its window edges and at its
+    # shift levels, in chunks of about 2**14 targets x angles that keep the
+    # temporaries cache-sized.  The grid reduces the per-angle values to its
+    # maximum count, first point near an edge and cover: the diagonal grid off
+    # its m planted angles alone, the conjugated grid over each point's k angles
     grid = _ProductGrid(spec) if spec.diagonal_only else _GatheredGrid(spec)
     delta, n_modes = float(spec.spin.delta), spec.truncation
-    chunks = [grid.table[i : i + 2**14] for i in range(0, len(grid.table), 2**14)]
+
+    def chunks(targets: int) -> list[slice]:
+        step = max(1, 2**14 // targets)
+        return [slice(i, i + step) for i in range(0, len(grid.table), step)]
 
     reports: list[EpsilonReport] = []
     for eps in eps_list:
         effective = bounded_scalar(eps) if bounded else eps
-        per_angle, edge_per_angle = map(
-            np.concatenate, zip(*(_window_counts(a, delta, n_modes, effective, bounded) for a in chunks))
-        )
+        per_angle, edge_per_angle = np.empty(len(grid.table), np.int64), np.empty(len(grid.table))
+        for c in chunks(2):
+            per_angle[c], edge_per_angle[c] = _window_counts(grid.table[c], delta, n_modes, effective, bounded)
         flagged = grid.first_flagged(edge_per_angle <= b_tol)
         if flagged is not None:
             # the first offending point's own ladder raises with the usual message
@@ -378,11 +375,11 @@ def verify_contrapositive(
         if cover_check:
             # a point clears a level when every one of its angles does:
             # min_j sigma_j > tol exactly when every sigma_j > tol
-            safe = [
-                _safely_invertible(np.concatenate([_level_distance(a, delta, n_modes, lv, bounded) for a in chunks]), inv_tol)
-                for lv in shift_levels(max_count, effective)
-            ]
-            cover_ok = grid.covered(np.stack(safe))
+            levels = shift_levels(max_count, effective)
+            safe = np.empty((len(levels), len(grid.table)), bool)
+            for c in chunks(len(levels)):
+                safe[:, c] = _safely_invertible(_level_distance(grid.table[c], delta, n_modes, levels, bounded), inv_tol)
+            cover_ok = grid.covered(safe)
         reports.append(
             EpsilonReport(
                 epsilon=eps,

@@ -18,11 +18,15 @@ from dirac_obstruction import (
     SampledFamily,
     SpectrumWindow,
     SpinStructure,
+    TorusGridSpec,
     ValidationError,
     analytic_spectrum,
     bounded_transform,
     build_cover,
+    cluster_values,
     count_in_window,
+    holonomy_angles,
+    kernel_dim,
     require_hermitian,
     shift_deform,
     shift_levels,
@@ -30,6 +34,7 @@ from dirac_obstruction import (
     spectral_flow,
     truncation_from_angles,
     truncation_spectrum,
+    verify_contrapositive,
 )
 
 
@@ -136,6 +141,37 @@ def test_window_radius_must_be_positive_and_finite(entry, epsilon):
     # nan compares false both ways, so only 0 < epsilon < inf rejects it
     with pytest.raises(ValidationError, match="window radius must be positive and finite"):
         WINDOW_ENTRY_POINTS[entry](epsilon)
+
+
+TOLERANCE_ENTRY_POINTS = {
+    "verify_b_tol": ("b_tol", lambda tol: verify_contrapositive(TorusGridSpec(1, 4), [math.pi], b_tol=tol)),
+    "verify_inv_tol": ("inv_tol", lambda tol: verify_contrapositive(TorusGridSpec(1, 4), [1.0], inv_tol=tol)),
+    "verify_i_tol": ("i_tol", lambda tol: verify_contrapositive(TorusGridSpec(1, 4), [1.0], i_tol=tol)),
+    "count_in_window": ("b_tol", lambda tol: count_in_window([1.0], 1.0, b_tol=tol)),
+    "build_cover": ("inv_tol", lambda tol: build_cover(family_of([np.diag([0.1, 5.0])]), 1, 1.0, inv_tol=tol)),
+    "kernel_dim": ("i_tol", lambda tol: kernel_dim(HolonomySpec.identity(1), SpinStructure(), i_tol=tol)),
+    "require_hermitian": ("h_tol", lambda tol: require_hermitian([[0, 1], [0, 0]], tol)),
+    "SampledFamily": ("h_tol", lambda tol: SampledFamily(2, [FamilyPoint("a", np.array([[0, 1], [0, 0]]))], h_tol=tol)),
+    "cluster_values": ("c_tol", lambda tol: cluster_values([0, 1, 2], c_tol=tol)),
+    "analytic_spectrum": (
+        "c_tol",
+        lambda tol: analytic_spectrum(HolonomySpec.from_angles(["1/4", "3/4"]), SpinStructure(0), 7.0, c_tol=tol),
+    ),
+    "holonomy_u_tol": ("u_tol", lambda tol: holonomy_angles(HolonomySpec.from_matrix([[0, -1], [1, 0]]), u_tol=tol)),
+    "holonomy_r_tol": ("r_tol", lambda tol: holonomy_angles(HolonomySpec.from_matrix([[0, -1], [1, 0]]), r_tol=tol)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+def test_tolerances_must_be_non_negative_and_finite(entry, value):
+    # a nan, negative or infinite tolerance would silently weaken its guard:
+    # b_tol = nan flags no edge, inv_tol = nan clears no level and reads as a
+    # verified negative, h_tol = nan accepts any matrix, c_tol = nan merges
+    # every value into one cluster
+    name, call = TOLERANCE_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match=f"{name} must be non-negative and finite, got"):
+        call(value)
 
 
 def test_zeroth_shift_is_identity_map():

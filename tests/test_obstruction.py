@@ -231,24 +231,26 @@ def test_verify_builds_no_grid_ladder(monkeypatch, diagonal_only):
 
 
 def test_verify_reads_each_table_angle_once_per_target(monkeypatch):
-    # every count, guard and cover level reads the ladder brackets once per
-    # entry of the angle table: the diagonal grid's m planted angles, or the
-    # conjugated grid's k*P eigen-angles, never once per point and angle
+    # per radius one read at the two window edges and one at the k+1 cover
+    # levels, each covering every entry of the angle table once per target:
+    # the diagonal grid's m planted angles, or the conjugated grid's k*P
+    # eigen-angles, never once per point and angle
     seen = {}
 
-    def spy(angles, delta, n_modes, target, **kwargs):
-        key = (target, kwargs.get("side", "left"))
+    def spy(angles, delta, n_modes, targets, **kwargs):
+        key = tuple(np.ravel(targets))
         seen[key] = seen.get(key, 0) + np.size(angles)
-        return _ladder_bracket(angles, delta, n_modes, target, **kwargs)
+        return _ladder_bracket(angles, delta, n_modes, targets, **kwargs)
 
     monkeypatch.setattr(obstruction, "_ladder_bracket", spy)
+    edges = (np.nextafter(-0.7, math.inf), 0.7)
     for diagonal_only, entries in ((True, 6), (False, 3 * 6**3)):
-        seen.clear()
         spec = TorusGridSpec(k=3, resolution=6, truncation=3, diagonal_only=diagonal_only)
-        assert verify_contrapositive(spec, [0.7]).passed
-        # +-epsilon for the counts and the k+1 cover levels
-        assert len(seen) == 2 + 4
-        assert set(seen.values()) == {entries}
+        for cover_check, reads in ((True, [edges, tuple(shift_levels(3, 0.7))]), (False, [edges])):
+            seen.clear()
+            assert verify_contrapositive(spec, [0.7], cover_check=cover_check).passed
+            assert list(seen) == reads
+            assert set(seen.values()) == {entries}
 
 
 def test_pairing_builds_no_matrix(monkeypatch):
@@ -316,11 +318,12 @@ def test_ladder_brackets_match_the_full_ladder(delta, n_modes, bounded):
             assert full is None or np.array_equal(counts, full)
         hits += bool((edge == 0.0).any())
         levels = shift_levels(3, effective) + [effective, -effective]
-        for level in levels + rng.choice(spectra.ravel(), size=3).tolist():
-            sigma = _level_distance(angles.T, delta, n_modes, level, bounded).min(axis=0)
+        levels += rng.choice(spectra.ravel(), size=3).tolist()
+        # one read at every level; a read just above a level counts the rungs at or below it
+        for level, sigma in zip(levels, _level_distance(angles.T, delta, n_modes, levels, bounded).min(axis=1)):
             assert np.array_equal(sigma, np.abs(spectra - level).min(axis=1))
-            for side, below in (("left", np.less), ("right", np.less_equal)):
-                rank, lower, upper = _ladder_bracket(angles, delta, n_modes, level, bounded=bounded, side=side)
+            for target, below in ((level, np.less), (np.nextafter(level, math.inf), np.less_equal)):
+                rank, lower, upper = _ladder_bracket(angles, delta, n_modes, target, bounded=bounded)
                 assert np.array_equal(rank, below(per_angle, level).sum(axis=-1))
                 padded = np.concatenate([np.full((80, 3, 1), -np.inf), per_angle, np.full((80, 3, 1), np.inf)], axis=-1)
                 assert np.array_equal(lower, np.take_along_axis(padded, rank[..., None], -1)[..., 0])
@@ -344,8 +347,8 @@ def test_ladder_bracket_bisects_a_guess_that_misses():
             target = bounded_scalar(x)
             preimage = target / math.sqrt(1.0 - target * target)
             guess = np.clip(np.ceil(preimage / (2 * math.pi) - delta - angles), -n_modes, n_modes + 1) + n_modes
-            for side, below in (("left", np.less), ("right", np.less_equal)):
-                rank, lower, upper = _ladder_bracket(angles, delta, n_modes, target, bounded=True, side=side)
+            for read_at, below in ((target, np.less), (np.nextafter(target, math.inf), np.less_equal)):
+                rank, lower, upper = _ladder_bracket(angles, delta, n_modes, read_at, bounded=True)
                 assert below(lower, target).all() and not below(upper, target).any()
                 assert np.array_equal(lower, padded[np.arange(3), rank])
                 assert np.array_equal(upper, padded[np.arange(3), rank + 1])
@@ -353,6 +356,12 @@ def test_ladder_bracket_bisects_a_guess_that_misses():
                 full = below(ladder, target).sum(axis=-1)
                 assert np.array_equal(rank[monotone], full[monotone])
                 missed += int((np.abs(guess - full)[monotone] > 1).sum())
+        # a column of targets bisects each (target, angle) entry as a read at that target alone
+        targets = [bounded_scalar(x) for x in (3e5, 6e5, 9e5, 1.2e6)]
+        column = _ladder_bracket(angles, delta, n_modes, np.reshape(targets, (-1, 1)), bounded=True)
+        for row, target in enumerate(targets):
+            for got, alone in zip(column, _ladder_bracket(angles, delta, n_modes, target, bounded=True)):
+                assert np.array_equal(got[row], alone)
     assert missed > 0
 
 
