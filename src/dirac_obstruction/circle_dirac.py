@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .fredholm import _bounded_values, _check_radius, _check_tol, _matrix_from_json, _matrix_to_json
+from .fredholm import _bounded_values, _check_radius, _check_tol, _matrix_from_json, _matrix_to_json, _spectral_matrix
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
 U_TOL = 1e-10
@@ -256,8 +256,7 @@ def holonomy_log(h: HolonomySpec, *, u_tol: float = U_TOL, r_tol: float = R_TOL)
     if h.angles is not None:
         return np.diag(np.asarray(h.angles, dtype=float)).astype(complex)
     angles, z = _unitary_eigensystem(h.matrix, u_tol, r_tol)
-    log = (z * angles[None, :]) @ z.conj().T
-    return (log + log.conj().T) / 2.0
+    return _spectral_matrix(z, angles)
 
 
 def analytic_spectrum(
@@ -303,16 +302,21 @@ def kernel_dim(
     return count
 
 
-def mode_blocks(log: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
-    """Mode blocks 2*pi*((n + delta) I + log), n = -N..N, as a new axis.
+def _block_truncation(log: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
+    """Dense truncation with the mode blocks 2*pi*((n + delta) I + log), n = -N..N, on its diagonal.
 
     `log` is a (..., k, k) stack of Hermitian angle matrices; the result has
-    shape (..., 2N+1, k, k), so a whole grid of holonomies is built at once.
+    shape (..., B*k, B*k) with B = 2N+1, so a whole grid of holonomies is
+    built at once.
     """
     log = np.asarray(log, dtype=complex)
-    shifts = np.arange(-n_modes, n_modes + 1) + delta
-    eye = np.eye(log.shape[-1], dtype=complex)
-    return 2.0 * math.pi * (shifts[:, None, None] * eye + log[..., None, :, :])
+    *lead, k, _ = log.shape
+    b = 2 * n_modes + 1
+    eye = np.eye(k, dtype=complex)
+    out = np.zeros((*lead, b, k, b, k), dtype=complex)
+    for i, shift in enumerate(np.arange(-n_modes, n_modes + 1) + delta):
+        out[..., i, :, i, :] = 2.0 * math.pi * (shift * eye + log)
+    return out.reshape(*lead, b * k, b * k)
 
 
 def _rung(shift, angles):
@@ -321,7 +325,7 @@ def _rung(shift, angles):
 
 
 def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
-    """Eigenvalues of `mode_blocks(log, delta, n_modes)` from those of `log`.
+    """Eigenvalues of the mode blocks of `_block_truncation(log, delta, n_modes)` from those of `log`.
 
     The blocks share the eigenbasis of `log`, so from its ascending (..., k)
     eigen-angles block n has eigenvalues 2*pi*(n + delta + theta_j), listed
@@ -385,15 +389,6 @@ def _ladder_bracket(angles: np.ndarray, delta: float, n_modes: int, targets, *, 
     return (n + n_modes).astype(np.int64), lower, upper
 
 
-def dense_operator(blocks: np.ndarray) -> np.ndarray:
-    """Dense (..., B*k, B*k) matrices with the (..., B, k, k) blocks on the diagonal."""
-    *lead, b, k, _ = blocks.shape
-    out = np.zeros((*lead, b, k, b, k), dtype=blocks.dtype)
-    for i in range(b):
-        out[..., i, :, i, :] = blocks[..., i, :, :]
-    return out.reshape(*lead, b * k, b * k)
-
-
 def _check_truncation(n_modes: int) -> None:
     if n_modes < 1:
         raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
@@ -423,7 +418,7 @@ def fourier_truncation(
     """Block-diagonal Hermitian truncation of size k*(2N+1), modes |n| <= N."""
     _check_truncation(n_modes)
     log = holonomy_log(h, u_tol=u_tol, r_tol=r_tol)
-    return dense_operator(mode_blocks(log, float(s.delta), n_modes))
+    return _block_truncation(log, float(s.delta), n_modes)
 
 
 def truncation_from_angles(
@@ -440,7 +435,7 @@ def truncation_from_angles(
     """
     _check_truncation(n_modes)
     log = np.diag(np.asarray(angles, dtype=float))
-    return dense_operator(mode_blocks(log, float(delta), n_modes))
+    return _block_truncation(log, float(delta), n_modes)
 
 
 def truncation_spectrum(
@@ -464,5 +459,4 @@ def truncation_spectrum(
     _check_ladder(h.k * (2 * n_modes + 1))
     angles = np.asarray(holonomy_angles(h, u_tol=u_tol, r_tol=r_tol))
     w = _mode_spectra(angles, float(s.delta), n_modes)
-    values = [float(v) for v in w[np.abs(w) < epsilon]]
-    return SpectrumWindow(epsilon, cluster_values(values, c_tol))
+    return SpectrumWindow(epsilon, cluster_values(w[np.abs(w) < epsilon], c_tol))

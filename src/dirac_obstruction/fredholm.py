@@ -90,6 +90,12 @@ def _bounded_values(x):
     return x / np.sqrt(1.0 + x * x)
 
 
+def _spectral_matrix(basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian u diag(values) u* from orthonormal columns u, symmetrized, over any leading axes."""
+    out = (basis * values[..., None, :]) @ basis.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
+
+
 def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
     """Compress a Hermitian matrix through x -> x / sqrt(1 + x^2).
 
@@ -98,8 +104,7 @@ def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
     """
     m = require_hermitian(matrix, h_tol)
     w, v = np.linalg.eigh(m)
-    out = (v * _bounded_values(w)) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _spectral_matrix(v, _bounded_values(w))
 
 
 def _check_radius(epsilon: float) -> None:
@@ -151,10 +156,7 @@ def shift_deform(matrix, j: int, k: int, epsilon: float, *, h_tol: float = H_TOL
             f"operator norm {float(np.abs(w).max()):.6g} exceeds 1; "
             "apply bounded_transform first"
         )
-    a = j * epsilon / (k + 1)
-    g = _shift_map(w, a)
-    out = (v * g) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    return _spectral_matrix(v, _shift_map(w, j * epsilon / (k + 1)))
 
 
 def count_in_window(

@@ -22,14 +22,13 @@ from .circle_dirac import (
     I_TOL,
     HolonomySpec,
     SpinStructure,
+    _block_truncation,
     _check_ladder,
     _check_truncation,
     _ladder_bracket,
     _mode_spectra,
     _rung,
-    dense_operator,
     kernel_dim,
-    mode_blocks,
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
 from .errors import ValidationError
@@ -45,6 +44,7 @@ from .fredholm import (
     _check_tol,
     _endpoint_flow,
     _safely_invertible,
+    _spectral_matrix,
     count_in_window,
     shift_levels,
 )
@@ -68,6 +68,11 @@ class TorusGridSpec:
     diagonal_only: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("k", "resolution", "truncation"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.k < 1:
             raise ValidationError(f"rank must be positive, got k={self.k}")
         if self.resolution < 2:
@@ -100,15 +105,9 @@ def parse_point_id(text: str, spec: TorusGridSpec) -> tuple[int, ...]:
     return idx
 
 
-def _grid_indices(spec: TorusGridSpec) -> np.ndarray:
-    # (P, k) rows in lexicographic order, first coordinate slowest; witness
-    # ties resolve to the first maximum seen
-    return np.indices((spec.resolution,) * spec.k).reshape(spec.k, -1).T
-
-
-def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
-    """Hermitian angle matrices of every grid point's holonomy, (P, k, k)."""
-    angles = indices / spec.resolution
+def _grid_logs(spec: TorusGridSpec) -> np.ndarray:
+    """Hermitian angle matrices of every grid point's holonomy, (P, k, k), first coordinate slowest."""
+    angles = np.indices((spec.resolution,) * spec.k).reshape(spec.k, -1).T / spec.resolution
     if spec.diagonal_only:
         return angles[..., None, :] * np.eye(spec.k)
     # conjugated logs u diag(theta) u* with the same eigen-angles; the Haar
@@ -118,9 +117,7 @@ def _grid_logs(spec: TorusGridSpec, indices: np.ndarray) -> np.ndarray:
     shape = (len(angles), spec.k, spec.k)
     q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
-    logs = (u * angles[:, None, :]) @ u.conj().swapaxes(-1, -2)
-    return (logs + logs.conj().swapaxes(-1, -2)) / 2.0
+    return _spectral_matrix(q * (d / np.abs(d))[:, None, :], angles)
 
 
 class _ProductGrid:
@@ -177,20 +174,23 @@ class _GatheredGrid:
 
     def __init__(self, spec: TorusGridSpec) -> None:
         self.k = spec.k
-        self.indices = _grid_indices(spec)
-        self.table = np.linalg.eigvalsh(_grid_logs(spec, self.indices)).T.ravel()
+        self.shape = (spec.resolution,) * spec.k
+        self.table = np.linalg.eigvalsh(_grid_logs(spec)).T.ravel()
+
+    def point(self, row: int) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.unravel_index(row, self.shape))
 
     def max_point(self, counts: np.ndarray) -> tuple[int, tuple[int, ...]]:
         sums = counts.reshape(self.k, -1).sum(axis=0)
         row = int(np.argmax(sums))  # ties resolve to the first maximum in grid order
-        return int(sums[row]), tuple(self.indices[row].tolist())
+        return int(sums[row]), self.point(row)
 
     def first_flagged(self, flags: np.ndarray) -> tuple[tuple[int, ...], np.ndarray] | None:
         per_point = flags.reshape(self.k, -1).any(axis=0)
         if not per_point.any():
             return None
         row = int(np.argmax(per_point))
-        return tuple(self.indices[row].tolist()), self.table.reshape(self.k, -1)[:, row]
+        return self.point(row), self.table.reshape(self.k, -1)[:, row]
 
     def covered(self, safe: np.ndarray) -> bool:
         """Whether every point clears some level, from the (levels, k*P) per-angle flags."""
@@ -202,10 +202,9 @@ def tautological_family(spec: TorusGridSpec) -> SampledFamily:
 
     The family holds no adjacency: `c1_pairing` checks grid edges itself.
     """
-    indices = _grid_indices(spec)
-    blocks = mode_blocks(_grid_logs(spec, indices), float(spec.spin.delta), spec.truncation)
-    points = [FamilyPoint(point_id(idx), op) for idx, op in zip(indices.tolist(), dense_operator(blocks))]
-    return SampledFamily(spec.dim, points)
+    ops = _block_truncation(_grid_logs(spec), float(spec.spin.delta), spec.truncation)
+    ids = np.ndindex((spec.resolution,) * spec.k)  # the grid order of `_grid_logs`
+    return SampledFamily(spec.dim, [FamilyPoint(point_id(idx), op) for idx, op in zip(ids, ops)])
 
 
 @dataclass
@@ -245,17 +244,7 @@ class ObstructionVerdict:
         return min(self.reports, key=lambda r: r.epsilon)
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "resolution": self.resolution,
-            "truncation": self.truncation,
-            "spin_delta": self.spin_delta,
-            "bounded": self.bounded,
-            "cohomology_product": self.cohomology_product,
-            "cohomology_product_nonzero": self.cohomology_product_nonzero,
-            "per_epsilon": [r.to_json() for r in self.reports],
-            "passed": self.passed,
-        }
+        return {("per_epsilon" if key == "reports" else key): value for key, value in asdict(self).items()}
 
     def summary_table(self) -> str:
         header = ("epsilon", "max_count", "witness", "kernel_dim", "cover", "verdict")
@@ -427,9 +416,10 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     one coordinate by +-1/m continuously, so a loop that winds around the
     torus ends at angles shifted by whole integers and the lifted operator
     path is open even though the base loop is closed.  Winding once upward
-    around a coordinate yields flow +1.  The flow is read off the lifted
-    ladders 2*pi*(n + delta + theta) of the samples s0, s1, ..., with no
-    matrix, under the step and endpoint guards of `spectral_flow` (`flow`).
+    around a coordinate yields flow +1, and a closed loop that winds around
+    no coordinate lifts to a closed path of flow 0.  The flow is read off the
+    lifted ladders 2*pi*(n + delta + theta) of the samples s0, s1, ..., with
+    no matrix, under the step and endpoint guards of `spectral_flow` (`flow`).
     """
     if not spec.diagonal_only:
         raise ValidationError("loop pairing needs the diagonal grid; conjugated samples are not continuous in the grid")
@@ -460,5 +450,7 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     steps -= _rung(shifts, lifted[rows, axes][:, None])
     for i, norm in enumerate(np.abs(steps, out=steps).max(axis=1)):
         _check_step(f"s{i}", f"s{i + 1}", float(norm), eta)
+    if loop.closed and not np.round(lifted[-1] - lifted[0]).any():
+        return 0
     ends = _mode_spectra(lifted[[0, -1]], delta, spec.truncation)
     return _endpoint_flow(("s0", f"s{len(lifted) - 1}"), ends, eta)

@@ -21,6 +21,7 @@ from dirac_obstruction import (
     truncation_from_angles,
     truncation_spectrum,
 )
+from dirac_obstruction.circle_dirac import _block_truncation
 
 HALF = SpinStructure(Fraction(1, 2))
 ZERO = SpinStructure(Fraction(0))
@@ -261,6 +262,22 @@ def test_raw_angle_truncation_shifts_ladder():
     assert np.allclose(np.linalg.eigvalsh(at1) - np.linalg.eigvalsh(at0), TWO_PI, atol=1e-12)
     inside = fourier_truncation(HolonomySpec.from_angles([0.25]), HALF, 2)
     assert np.allclose(truncation_from_angles([0.25], 0.5, 2), inside)
+
+
+def test_block_truncation_of_a_stack_matches_each_point():
+    # one (P, k, k) stack of diagonal logs builds, bit for bit, each point's
+    # own truncation, signed zeros and angles outside [0, 1) included
+    rng = np.random.default_rng(29)
+    angles = rng.uniform(-2.0, 2.0, size=(12, 3))
+    angles[:2] = [[0.0, 0.0, 0.0], [-0.0, 1.0, 0.5]]
+    logs = np.zeros((12, 3, 3))
+    logs[:, [0, 1, 2], [0, 1, 2]] = angles
+    for delta in (0.0, 0.5):
+        for n_modes in (1, 3):
+            ops = _block_truncation(logs, delta, n_modes)
+            assert ops.shape == (12, 3 * (2 * n_modes + 1), 3 * (2 * n_modes + 1))
+            for row, op in zip(angles, ops):
+                assert op.tobytes() == truncation_from_angles(row, delta, n_modes).tobytes()
 
 
 def test_truncation_rejects_bad_order():

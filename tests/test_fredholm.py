@@ -26,6 +26,7 @@ from dirac_obstruction import (
     cluster_values,
     count_in_window,
     holonomy_angles,
+    holonomy_log,
     kernel_dim,
     require_hermitian,
     shift_deform,
@@ -36,6 +37,7 @@ from dirac_obstruction import (
     truncation_spectrum,
     verify_contrapositive,
 )
+from dirac_obstruction.obstruction import _grid_logs
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -227,6 +229,24 @@ def test_shift_deform_validation():
         shift_deform(eye, 3, 2, 0.5)
     with pytest.raises(ValidationError, match="bounded_transform"):
         shift_deform(2.0 * eye, 0, 1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: bounded_transform(random_hermitian(rng, 7, scale=3.0)),
+        lambda rng: shift_deform(bounded_transform(random_hermitian(rng, 7, scale=3.0)), 1, 3, 0.4),
+        lambda rng: holonomy_log(HolonomySpec.from_matrix(np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0])),
+        lambda rng: _grid_logs(TorusGridSpec(k=3, resolution=4, truncation=2, diagonal_only=False)),
+    ],
+    ids=["bounded_transform", "shift_deform", "holonomy_log", "conjugated_grid_logs"],
+)
+def test_spectral_matrices_are_exactly_hermitian(build):
+    # each u diag(values) u* is symmetrized, so it equals its conjugate
+    # transpose bit for bit, not just to a tolerance
+    for seed in range(5):
+        out = build(np.random.default_rng(seed))
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------- window counts

@@ -34,11 +34,10 @@ from dirac_obstruction import (
     verify_contrapositive,
 )
 from dirac_obstruction import circle_dirac, obstruction
-from dirac_obstruction.circle_dirac import _ladder_bracket, _mode_spectra, mode_blocks
+from dirac_obstruction.circle_dirac import _block_truncation, _ladder_bracket, _mode_spectra
 from dirac_obstruction.fredholm import AMBIGUITY_DECADE, B_TOL, INV_TOL, _bounded_values
 from dirac_obstruction.obstruction import (
     MAX_GRID_POINTS,
-    _grid_indices,
     _grid_logs,
     _level_distance,
     _window_counts,
@@ -61,6 +60,27 @@ def test_grid_spec_validation():
         TorusGridSpec(k=3, resolution=101)
     with pytest.raises(ValidationError, match="point limit"):
         TorusGridSpec(k=MAX_GRID_POINTS.bit_length() + 1, resolution=2)
+    assert TorusGridSpec(np.int64(2), np.int32(4), truncation=np.uint8(3)) == TorusGridSpec(2, 4, truncation=3)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("k", 1.5),
+        ("k", True),
+        ("k", 2.0),
+        ("resolution", 4.5),
+        ("resolution", np.float64(4.0)),
+        ("resolution", False),
+        ("truncation", 2.5),
+        ("truncation", "3"),
+        ("truncation", np.bool_(True)),
+    ],
+)
+def test_grid_spec_fields_must_be_integers(name, value):
+    fields = {"k": 2, "resolution": 4, "truncation": 3, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        TorusGridSpec(**fields)
 
 
 def test_point_id_round_trip():
@@ -176,18 +196,18 @@ def test_conjugated_grid_blocks_have_planted_spectra(spin):
     # so it is Hermitian with eigen-angles idx/m, and its mode blocks have the
     # closed-form spectrum
     spec = TorusGridSpec(k=3, resolution=6, spin=spin, truncation=2, diagonal_only=False)
-    indices = _grid_indices(spec)
-    logs = _grid_logs(spec, indices)
+    indices = np.indices((6, 6, 6)).reshape(3, -1).T
+    logs = _grid_logs(spec)
     assert logs.shape == (216, 3, 3)
     assert np.array_equal(logs, logs.conj().swapaxes(-1, -2))
     np.testing.assert_allclose(np.linalg.eigvalsh(logs), np.sort(indices / 6, axis=-1), rtol=0, atol=1e-12)
     # the off-diagonal entries show that the grid really is conjugated
     assert np.abs(logs[..., 0, 1]).max() > 0.1
-    assert _grid_logs(spec, indices).tobytes() == logs.tobytes()
-    blocks = mode_blocks(logs, float(spin.delta), spec.truncation)
+    assert _grid_logs(spec).tobytes() == logs.tobytes()
+    ops = _block_truncation(logs, float(spin.delta), spec.truncation)
     modes = np.arange(-2, 3)[None, :, None]
     closed = 2 * np.pi * (modes + float(spin.delta) + indices[:, None, :] / 6)
-    np.testing.assert_allclose(np.linalg.eigvalsh(blocks), np.sort(closed, axis=-1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(ops), np.sort(closed.reshape(216, -1), axis=-1), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("diagonal_only", [True, False])
@@ -267,7 +287,7 @@ def test_pairing_builds_no_matrix(monkeypatch):
 
         monkeypatch.setattr(owner, name, record)
 
-    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "norm"), (obstruction, "mode_blocks")):
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "norm"), (obstruction, "_block_truncation")):
         spy(owner, name)
     spec = TorusGridSpec(k=2, resolution=8, truncation=3)
     assert c1_pairing(spec, coordinate_loop(spec, 1, (0, 0))) == 1
@@ -463,7 +483,7 @@ def test_product_reading_matches_full_ladders():
 
 def test_diagonal_verify_allocates_nothing_per_point(monkeypatch):
     # the 10**6-point diagonal grid is read off its 10 planted angles: no
-    # (P, k) index, no per-point gather
+    # (P, k, k) logs, no per-point gather
     spec = TorusGridSpec(6, 10)
     verify_contrapositive(TorusGridSpec(2, 4), [1.0])
     tracemalloc.start()
@@ -475,9 +495,9 @@ def test_diagonal_verify_allocates_nothing_per_point(monkeypatch):
     assert verdict.passed and peak < 2**20
 
     def refuse(spec):
-        raise AssertionError("the diagonal grid needs no point index")
+        raise AssertionError("the diagonal grid needs no per-point log")
 
-    monkeypatch.setattr(obstruction, "_grid_indices", refuse)
+    monkeypatch.setattr(obstruction, "_grid_logs", refuse)
     assert verify_contrapositive(spec, [1, 0.1, 0.01]).to_json() == verdict.to_json()
 
 
@@ -488,6 +508,18 @@ def test_verdict_serialization_and_table():
     assert doc["passed"] is True
     assert doc["spin_delta"] == "1/2"
     assert len(doc["per_epsilon"]) == 2
+    assert list(doc) == [
+        "k",
+        "resolution",
+        "truncation",
+        "spin_delta",
+        "bounded",
+        "cohomology_product",
+        "cohomology_product_nonzero",
+        "per_epsilon",
+        "passed",
+    ]
+    assert doc["per_epsilon"][0] == verdict.reports[0].to_json()
     table = verdict.summary_table()
     lines = table.strip().split("\n")
     assert lines[0].split()[:2] == ["epsilon", "max_count"]
@@ -547,7 +579,9 @@ def _outcome(fn):
 def test_pairing_matches_dense_flow_on_lifted_family():
     # reference: the lifted path as dense truncation_from_angles matrices,
     # with the lifted angle advanced one grid step at a time; eta at the
-    # exact step norm 2*pi/m and its float neighbours pins the step guard
+    # exact step norm 2*pi/m and its float neighbours pins the step guard.
+    # A winding loop lifts to an open path; a contractible closed loop (one
+    # point, or there and back) lifts to a closed one
     m = 8
     step_norm = 2.0 * math.pi / m
     etas = [(None, 3.0 * math.pi / m), (0.05, 0.05), (0.0, 0.0)]
@@ -559,7 +593,10 @@ def test_pairing_matches_dense_flow_on_lifted_family():
             for base in np.ndindex(m, m):
                 loop = coordinate_loop(spec, axis, base)
                 back = PathSpec(tuple(reversed(loop.ids)), closed=True)
-                for path, step, count in ((loop, 1, m + 1), (back, -1, m + 1), (PathSpec(loop.ids), 1, m)):
+                paths = [(loop, 1, m + 1, False), (back, -1, m + 1, False), (PathSpec(loop.ids), 1, m, False)]
+                paths += [(PathSpec(loop.ids[:1], closed=True), 1, 1, True)]
+                paths += [(PathSpec(loop.ids[:2], closed=True), 1, 2, True)]
+                for path, step, count, closed in paths:
                     angles = np.array(parse_point_id(path.ids[0], spec), dtype=float) / m
                     points = []
                     for i in range(count):
@@ -568,12 +605,19 @@ def test_pairing_matches_dense_flow_on_lifted_family():
                         angles = angles.copy()
                         angles[axis] += step / m
                     fam = SampledFamily(spec.dim, points)
-                    lifted = PathSpec(tuple(p.id for p in points))
+                    lifted = PathSpec(tuple(p.id for p in points), closed=closed)
                     for eta, dense_eta in etas:
                         got = _outcome(lambda: c1_pairing(spec, path, eta=eta))
                         assert got == _outcome(lambda: spectral_flow(fam, lifted, dense_eta))
                         seen.add(got[0] if got[0] != "ok" else got)
-    assert seen == {("ok", 1), ("ok", -1), "EndpointDegeneracyError", "RefinementRequiredError", "ValidationError"}
+    assert seen == {
+        ("ok", 1),
+        ("ok", -1),
+        ("ok", 0),
+        "EndpointDegeneracyError",
+        "RefinementRequiredError",
+        "ValidationError",
+    }
 
 
 def test_pairing_ladder_budget_raises_before_allocating():
