@@ -23,8 +23,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
-from .fredholm import _bounded_values, _check_radius, _check_tol, _matrix_from_json, _matrix_to_json, _spectral_matrix
+from .errors import ValidationError, _check_int, _check_positive, _check_tol
+from .fredholm import _bounded_values, _matrix_from_json, _matrix_to_json, _spectral_matrix
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
 U_TOL = 1e-10
@@ -91,8 +91,7 @@ class HolonomySpec:
     __slots__ = ("k", "matrix", "angles")
 
     def __init__(self, k: int, matrix=None, angles: Sequence[AngleLike] | None = None):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValidationError(f"holonomy rank must be a positive integer, got {k!r}")
+        k = _check_int("holonomy 'k'", k, 1)
         if (matrix is None) == (angles is None):
             raise ValidationError("give exactly one of matrix= and angles=")
         self.k = k
@@ -129,14 +128,11 @@ class HolonomySpec:
     def from_json(cls, obj: dict) -> "HolonomySpec":
         if not isinstance(obj, dict) or "k" not in obj:
             raise ValidationError("holonomy JSON must be an object with a 'k' field")
-        k = obj["k"]
-        if not isinstance(k, int):
-            raise ValidationError(f"holonomy 'k' must be an integer, got {k!r}")
         if ("matrix" in obj) == ("angles" in obj):
             raise ValidationError("holonomy JSON needs exactly one of 'matrix' and 'angles'")
         if "angles" in obj:
-            return cls(k, angles=obj["angles"])
-        return cls(k, matrix=_matrix_from_json(obj["matrix"], "holonomy matrix"))
+            return cls(obj["k"], angles=obj["angles"])
+        return cls(obj["k"], matrix=_matrix_from_json(obj["matrix"], "holonomy matrix"))
 
     def to_json(self) -> dict:
         if self.angles is not None:
@@ -157,13 +153,12 @@ class SpectrumWindow:
     eigenvalues: list[tuple[float, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        _check_radius(self.epsilon)
+        _check_positive("window radius", self.epsilon)
         prev = None
         for value, mult in self.eigenvalues:
             if abs(value) >= self.epsilon:
                 raise ValidationError(f"eigenvalue {value} outside open window of radius {self.epsilon}")
-            if mult < 1:
-                raise ValidationError(f"multiplicity must be positive, got {mult}")
+            _check_int("multiplicity", mult, 1)
             if prev is not None and value <= prev:
                 raise ValidationError("clustered eigenvalues must be strictly ascending")
             prev = value
@@ -269,7 +264,7 @@ def analytic_spectrum(
     c_tol: float = C_TOL,
 ) -> SpectrumWindow:
     """Closed-form window spectrum { 2*pi*(n + delta + theta_j) } cap (-eps, eps)."""
-    _check_radius(epsilon)
+    _check_positive("window radius", epsilon)
     quantum = 2.0 * math.pi
     delta = float(s.delta)
     modes = []
@@ -333,7 +328,7 @@ def _mode_spectra(angles: np.ndarray, delta: float, n_modes: int) -> np.ndarray:
     """
     shifts = np.arange(-n_modes, n_modes + 1) + delta
     ladder = _rung(shifts[:, None], angles[..., None, :])
-    return ladder.reshape(*angles.shape[:-1], -1)
+    return ladder.reshape(*angles.shape[:-1], ladder.shape[-2] * ladder.shape[-1])
 
 
 def _ladder_bracket(angles: np.ndarray, delta: float, n_modes: int, targets, *, bounded: bool = False):
@@ -389,11 +384,6 @@ def _ladder_bracket(angles: np.ndarray, delta: float, n_modes: int, targets, *, 
     return (n + n_modes).astype(np.int64), lower, upper
 
 
-def _check_truncation(n_modes: int) -> None:
-    if n_modes < 1:
-        raise ValidationError(f"truncation order must be >= 1, got {n_modes}")
-
-
 def _check_ladder(
     entries: int,
     remedy: str = "lower the truncation order, resolution or rank",
@@ -416,7 +406,7 @@ def fourier_truncation(
     r_tol: float = R_TOL,
 ) -> np.ndarray:
     """Block-diagonal Hermitian truncation of size k*(2N+1), modes |n| <= N."""
-    _check_truncation(n_modes)
+    n_modes = _check_int("truncation order", n_modes, 1)
     log = holonomy_log(h, u_tol=u_tol, r_tol=r_tol)
     return _block_truncation(log, float(s.delta), n_modes)
 
@@ -433,7 +423,7 @@ def truncation_from_angles(
     need: the matrix at angle 1 is the ladder of angle 0 shifted by one full
     quantum, not the same matrix.
     """
-    _check_truncation(n_modes)
+    n_modes = _check_int("truncation order", n_modes, 1)
     log = np.diag(np.asarray(angles, dtype=float))
     return _block_truncation(log, float(delta), n_modes)
 
@@ -454,8 +444,8 @@ def truncation_spectrum(
     eigenbasis of the log, so its spectrum is the ladder
     2*pi*(n + delta + theta_j), |n| <= N; no block is built or diagonalized.
     """
-    _check_radius(epsilon)
-    _check_truncation(n_modes)
+    _check_positive("window radius", epsilon)
+    n_modes = _check_int("truncation order", n_modes, 1)
     _check_ladder(h.k * (2 * n_modes + 1))
     angles = np.asarray(holonomy_angles(h, u_tol=u_tol, r_tol=r_tol))
     w = _mode_spectra(angles, float(s.delta), n_modes)

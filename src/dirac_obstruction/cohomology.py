@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ContextMismatchError, ValidationError
+from .errors import ContextMismatchError, ValidationError, _check_int
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -31,14 +31,11 @@ class AlgebraContext:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValidationError(f"algebra needs at least one generator, got k={self.k!r}")
+        object.__setattr__(self, "k", _check_int("k", self.k, 1))
 
     def degree(self, index: int) -> int:
         """Degree of generator `index`; indices are 1-based."""
-        if index < 1:
-            raise ValidationError(f"generator index must be >= 1, got {index}")
-        return 2 * index - 1
+        return 2 * _check_int("generator index", index, 1) - 1
 
     def monomial_degree(self, monomial: Monomial) -> int:
         return sum(self.degree(i) for i in monomial)
@@ -81,7 +78,7 @@ class CohomologyClass:
     def __init__(self, context: AlgebraContext, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
         for monomial, coeff in (terms or {}).items():
-            mono = tuple(int(i) for i in monomial)
+            mono = tuple(_check_int("generator index", i, 1) for i in monomial)
             _check_monomial(mono, context.k)
             q = Fraction(coeff)
             if q != 0:
@@ -168,8 +165,7 @@ def zero(ctx: AlgebraContext) -> CohomologyClass:
 
 def generator(ctx: AlgebraContext, index: int) -> CohomologyClass:
     """Generator c_index, or the zero class when the index exceeds k."""
-    if index < 1:
-        raise ValidationError(f"generator index must be >= 1, got {index}")
+    index = _check_int("generator index", index, 1)
     if index > ctx.k:
         return zero(ctx)
     return CohomologyClass(ctx, {(index,): Fraction(1)})
@@ -201,11 +197,9 @@ def obstruction_product(ctx: AlgebraContext, indices: Sequence[int]) -> Cohomolo
     when some index exceeds k (in particular whenever more than k distinct
     indices are listed).
     """
-    idx = [int(i) for i in indices]
+    idx = [_check_int("generator index", i, 1) for i in indices]
     if not idx:
         raise ValidationError("need at least one generator index")
-    if any(i < 1 for i in idx):
-        raise ValidationError(f"generator indices must be >= 1, got {idx}")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValidationError(f"generator indices must be strictly ascending, got {idx}")
     product = generator(ctx, idx[0])
@@ -216,8 +210,7 @@ def obstruction_product(ctx: AlgebraContext, indices: Sequence[int]) -> Cohomolo
 
 def character_coefficient(n: int) -> Fraction:
     """Weight of the n-th class inside the odd character expansion."""
-    if n < 1:
-        raise ValidationError(f"expansion index must be >= 1, got {n}")
+    n = _check_int("expansion index", n, 1)
     return Fraction((-1) ** (n + 1), math.factorial(n - 1))
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checks on input numbers that raise them."""
+
+import math
+from numbers import Integral
 
 
 class DiracObstructionError(Exception):
@@ -27,3 +30,27 @@ class RefinementRequiredError(DiracObstructionError):
 
 class EndpointDegeneracyError(DiracObstructionError):
     """An open path endpoint has spectrum inside the guard interval around zero."""
+
+
+def _check_int(name: str, value, low: int) -> int:
+    """Return an integer argument of at least `low` as `int`.
+
+    Python and numpy integers pass; bools, floats (2.0 included) and strings
+    are refused, so no caller rounds or truncates a count silently.
+    """
+    # int first: the Integral ABC check costs several times more
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject a value that is not a positive finite number, nan included."""
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is negative, infinite or nan; any of them would silently weaken its guard."""
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"{name} must be non-negative and finite, got {value}")

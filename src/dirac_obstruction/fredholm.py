@@ -22,6 +22,9 @@ from .errors import (
     EndpointDegeneracyError,
     RefinementRequiredError,
     ValidationError,
+    _check_int,
+    _check_positive,
+    _check_tol,
 )
 
 # Hermitian deviation max|A - A*| tolerated before rejecting; accepted inputs
@@ -107,23 +110,10 @@ def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
     return _spectral_matrix(v, _bounded_values(w))
 
 
-def _check_radius(epsilon: float) -> None:
-    """Reject a window radius that is not a positive finite number, nan included."""
-    if not 0.0 < epsilon < np.inf:
-        raise ValidationError(f"window radius must be positive and finite, got {epsilon}")
-
-
-def _check_tol(name: str, value: float) -> None:
-    """Reject a tolerance that is negative, infinite or nan; any of them would silently weaken its guard."""
-    if not 0.0 <= value < np.inf:
-        raise ValidationError(f"{name} must be non-negative and finite, got {value}")
-
-
 def shift_levels(k: int, epsilon: float) -> list[float]:
     """The k+1 equispaced shift levels j * epsilon / (k + 1), j = 0..k."""
-    if k < 0:
-        raise ValidationError(f"shift count must be >= 0, got {k}")
-    _check_radius(epsilon)
+    k = _check_int("shift count k", k, 0)
+    _check_positive("window radius", epsilon)
     return [j * epsilon / (k + 1) for j in range(k + 1)]
 
 
@@ -147,7 +137,8 @@ def shift_deform(matrix, j: int, k: int, epsilon: float, *, h_tol: float = H_TOL
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 <= j <= k:
+    j, k = _check_int("shift index j", j, 0), _check_int("shift count k", k, 0)
+    if j > k:
         raise ValidationError(f"shift index must satisfy 0 <= j <= k, got j={j}, k={k}")
     m = require_hermitian(matrix, h_tol)
     w, v = np.linalg.eigh(m)
@@ -175,7 +166,7 @@ def count_in_window(
     names the first offending row in C order, through `label(row)` when
     `label` is callable.
     """
-    _check_radius(epsilon)
+    _check_positive("window radius", epsilon)
     _check_tol("b_tol", b_tol)
     w = np.asarray(eigenvalues, dtype=float)
     if w.size:
@@ -213,9 +204,7 @@ class SampledFamily:
     """A finite sampled family of Hermitian matrices, read only through its operators."""
 
     def __init__(self, dim: int, points: Sequence[FamilyPoint], *, h_tol: float = H_TOL):
-        if dim < 1:
-            raise ValidationError(f"matrix dimension must be positive, got {dim}")
-        self.dim = dim
+        self.dim = _check_int("family 'dim'", dim, 1)
         self.points: list[FamilyPoint] = []
         self._by_id: dict[str, FamilyPoint] = {}
         for p in points:
@@ -247,9 +236,6 @@ class SampledFamily:
         """Decode `{"dim", "points": [{"id", "matrix"}]}`; other keys are ignored."""
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
             raise ValidationError("family JSON must be an object with 'dim' and 'points'")
-        dim = obj["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ValidationError(f"family 'dim' must be an integer, got {dim!r}")
         if not isinstance(obj["points"], list):
             raise ValidationError("family 'points' must be a list")
         points = []
@@ -258,7 +244,7 @@ class SampledFamily:
                 raise ValidationError("each family point needs 'id' and 'matrix'")
             op = _matrix_from_json(entry["matrix"], f"matrix at {entry['id']!r}")
             points.append(FamilyPoint(str(entry["id"]), op))
-        return cls(dim, points, h_tol=h_tol)
+        return cls(obj["dim"], points, h_tol=h_tol)
 
     @classmethod
     def load(cls, path, *, h_tol: float = H_TOL) -> "SampledFamily":
@@ -346,6 +332,7 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     A point has at most dim window eigenvalues, so k = dim already covers
     every point and a larger k is refused before any level is built.
     """
+    k = _check_int("shift count k", k, 0)
     if k > fam.dim:
         raise ValidationError(f"shift count k = {k} exceeds the family dimension {fam.dim}")
     _check_tol("inv_tol", inv_tol)
@@ -362,11 +349,6 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     ]
     sets = [ids[column].tolist() for column in inside.T]
     return CoverReport(k, epsilon, sets, covered=not uncovered, uncovered_ids=uncovered, indeterminate=indeterminate)
-
-
-def _check_eta(eta: float) -> None:
-    if not eta > 0:
-        raise ValidationError(f"crossing guard eta must be positive, got {eta}")
 
 
 def _check_step(a: str, b: str, norm: float, eta: float) -> None:
@@ -401,7 +383,7 @@ def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float) -> int:
     stable.
     """
     ops = {i: fam.point(i).op for i in path.ids}
-    _check_eta(eta)
+    _check_positive("crossing guard eta", eta)
     for a, b in path.steps():
         delta = ops[b] - ops[a]
         # Frobenius dominates the 2-norm: only steps it does not pass pay for the exact 2-norm

@@ -24,14 +24,12 @@ from .circle_dirac import (
     SpinStructure,
     _block_truncation,
     _check_ladder,
-    _check_truncation,
     _ladder_bracket,
     _mode_spectra,
-    _rung,
     kernel_dim,
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
-from .errors import ValidationError
+from .errors import ValidationError, _check_int, _check_positive, _check_tol
 from .fredholm import (
     B_TOL,
     INV_TOL,
@@ -39,9 +37,7 @@ from .fredholm import (
     PathSpec,
     SampledFamily,
     _bounded_values,
-    _check_eta,
     _check_step,
-    _check_tol,
     _endpoint_flow,
     _safely_invertible,
     _spectral_matrix,
@@ -68,16 +64,8 @@ class TorusGridSpec:
     diagonal_only: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("k", "resolution", "truncation"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.k < 1:
-            raise ValidationError(f"rank must be positive, got k={self.k}")
-        if self.resolution < 2:
-            raise ValidationError(f"grid resolution must be >= 2, got {self.resolution}")
-        _check_truncation(self.truncation)
+        for name, low in (("k", 1), ("resolution", 2), ("truncation", 1)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
         # m >= 2, so a rank past the cap's bit length exceeds the cap without
         # computing the power, whose digits grow with k
         if self.k > MAX_GRID_POINTS.bit_length() or self.resolution**self.k > MAX_GRID_POINTS:
@@ -100,6 +88,10 @@ def parse_point_id(text: str, spec: TorusGridSpec) -> tuple[int, ...]:
         idx = tuple(int(tok) for tok in text.split("_"))
     except ValueError:
         raise ValidationError(f"malformed grid point id {text!r}") from None
+    if point_id(idx) != text:
+        # only the ids `point_id` writes name grid points: no zero padding,
+        # sign, space or non-ASCII digit that int() would also read
+        raise ValidationError(f"malformed grid point id {text!r}")
     if len(idx) != spec.k or any(not 0 <= i < spec.resolution for i in idx):
         raise ValidationError(f"grid point id {text!r} outside the {spec.resolution}**{spec.k} grid")
     return idx
@@ -315,8 +307,8 @@ def verify_contrapositive(
     eps_list = [float(e) for e in epsilon_list]
     if not eps_list:
         raise ValidationError("need at least one window radius")
-    if not all(0.0 < e < math.inf for e in eps_list):
-        raise ValidationError(f"window radii must be positive and finite, got {eps_list}")
+    for eps in eps_list:
+        _check_positive("window radius", eps)
     for name, tol in (("b_tol", b_tol), ("inv_tol", inv_tol), ("i_tol", i_tol)):
         _check_tol(name, tol)
     _check_ladder(spec.resolution**spec.k * spec.dim)
@@ -397,9 +389,10 @@ def verify_contrapositive(
 
 def coordinate_loop(spec: TorusGridSpec, axis: int, base: Sequence[int]) -> PathSpec:
     """Closed grid loop winding once around the given axis from `base`."""
-    if not 0 <= axis < spec.k:
+    axis = _check_int("axis", axis, 0)
+    if axis >= spec.k:
         raise ValidationError(f"axis must lie in 0..{spec.k - 1}, got {axis}")
-    base_idx = tuple(int(i) for i in base)
+    base_idx = tuple(_check_int("base index", i, 0) for i in base)
     if len(base_idx) != spec.k or any(not 0 <= i < spec.resolution for i in base_idx):
         raise ValidationError(f"base index {base_idx} outside the grid")
     ids = []
@@ -439,15 +432,14 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     _check_ladder(len(moves) * spec.dim, remedy="lower the truncation order or shorten the loop")
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m
-    _check_eta(eta)
+    _check_positive("crossing guard eta", eta)
     # a step's diagonal difference has 2-norm max|delta rung|; the rungs of
     # every angle but the moving one repeat bit for bit, so the moving
     # angle's (S-1, 2N+1) rungs give the norm and no (S, k(2N+1)) ladder is built
     lifted, delta = np.cumsum(moves, axis=0), float(spec.spin.delta)
-    shifts = np.arange(-spec.truncation, spec.truncation + 1) + delta
     rows, axes = np.nonzero(moves[1:])  # one moving angle per step
-    steps = _rung(shifts, lifted[rows + 1, axes][:, None])
-    steps -= _rung(shifts, lifted[rows, axes][:, None])
+    steps = _mode_spectra(lifted[rows + 1, axes][:, None], delta, spec.truncation)
+    steps -= _mode_spectra(lifted[rows, axes][:, None], delta, spec.truncation)
     for i, norm in enumerate(np.abs(steps, out=steps).max(axis=1)):
         _check_step(f"s{i}", f"s{i + 1}", float(norm), eta)
     if loop.closed and not np.round(lifted[-1] - lifted[0]).any():

@@ -2,15 +2,11 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dirac_obstruction
 from dirac_obstruction import FamilyPoint, HolonomySpec, SampledFamily, truncation_from_angles
 from dirac_obstruction.cli import main
 
@@ -391,14 +387,12 @@ def test_verify_resolution_one_rejected(capsys):
     assert code == 2 and "resolution" in err
 
 
-def test_verify_huge_rank_refused_without_computing_the_grid_size():
+def test_verify_huge_rank_refused_without_computing_the_grid_size(fresh_python):
     # 3**100000000 is a bigint that takes minutes to compute; the cap check
     # must refuse the rank before computing it
     argv = ["verify", "--k", "100000000", "--resolution", "3", "--epsilons", "1"]
     script = f"import sys\nfrom dirac_obstruction.cli import main\nsys.exit(main({argv!r}))\n"
-    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20)
+    result = fresh_python(script, timeout=20)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
         "error: grid of 3**100000000 points exceeds the 1000000 point limit; lower the resolution or rank\n"
@@ -542,7 +536,7 @@ def test_verify_conjugated_golden_output(capsys, tmp_path):
     ],
     ids=["verify_conjugated", "kernel_dim_matrix", "spectrum_truncation_matrix"],
 )
-def test_verify_conjugated_never_loads_scipy_linalg(tmp_path, argv):
+def test_verify_conjugated_never_loads_scipy_linalg(fresh_python, tmp_path, argv):
     # no command needs scipy: the grid plants its eigen-angles, and holonomy
     # matrices from files are diagonalised with numpy alone
     rng = np.random.default_rng(5)
@@ -557,9 +551,7 @@ def test_verify_conjugated_never_loads_scipy_linalg(tmp_path, argv):
         "assert code == 0, code\n"
         "assert 'scipy.linalg' not in sys.modules\n"
     )
-    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    result = fresh_python(script)
     assert result.returncode == 0, result.stderr
 
 
@@ -597,46 +589,24 @@ TRUNCATION_REMEDY = "lower the truncation order, resolution or rank"
     ],
     ids=["verify_deep_truncation", "spectrum_deep_truncation", "verify_cap_grid_n60", "spectrum_wide_window"],
 )
-def test_ladder_budget_exits_two_before_allocating(argv, entries, spectrum, remedy):
+def test_ladder_budget_exits_two_before_allocating(fresh_python, argv, entries, spectrum, remedy):
     # under a 1 GB address-space limit a missing budget check fails with a
     # MemoryError traceback instead of quietly allocating gigabytes
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-        "from dirac_obstruction.cli import main\n"
-        f"sys.exit(main({argv!r}))\n"
-    )
-    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    script = f"import sys\nfrom dirac_obstruction.cli import main\nsys.exit(main({argv!r}))\n"
+    result = fresh_python(script, address_space=2**30)
     assert (result.returncode, result.stdout) == (2, ""), result.stderr
     assert result.stderr == (
         f"error: {spectrum} of {entries} ladder values exceeds the 100000000 value limit; {remedy}\n"
     )
 
 
-def test_verify_cap_grid_fits_in_384_mb():
+def test_verify_cap_grid_fits_in_384_mb(fresh_python):
     # the diagonal 10**6-point grid reads its m planted angles per table
     # entry; a (P, k, k) stack of logs and its eigensolve would not fit
     # under this address-space limit and fail with a MemoryError
     argv = ["verify", "--k", "6", "--resolution", "10", "--epsilons", "1,0.1,0.01"]
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**27, 3 * 2**27))\n"
-        "from dirac_obstruction.cli import main\n"
-        f"sys.exit(main({argv!r}))\n"
-    )
-    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    script = f"import sys\nfrom dirac_obstruction.cli import main\nsys.exit(main({argv!r}))\n"
+    result = fresh_python(script, address_space=3 * 2**27)
     assert (result.returncode, result.stderr) == (0, "")
     # one table row per radius: count 6, cover ok, pass
     rows = [line.split() for line in result.stdout.splitlines()[1:4]]

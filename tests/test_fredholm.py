@@ -9,7 +9,9 @@ import pytest
 import scipy.linalg
 
 from dirac_obstruction import (
+    AlgebraContext,
     BoundaryAmbiguityError,
+    CohomologyClass,
     EndpointDegeneracyError,
     FamilyPoint,
     HolonomySpec,
@@ -23,11 +25,17 @@ from dirac_obstruction import (
     analytic_spectrum,
     bounded_transform,
     build_cover,
+    c1_pairing,
+    character_coefficient,
     cluster_values,
+    coordinate_loop,
     count_in_window,
+    fourier_truncation,
+    generator,
     holonomy_angles,
     holonomy_log,
     kernel_dim,
+    obstruction_product,
     require_hermitian,
     shift_deform,
     shift_levels,
@@ -174,6 +182,64 @@ def test_tolerances_must_be_non_negative_and_finite(entry, value):
     name, call = TOLERANCE_ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match=f"{name} must be non-negative and finite, got"):
         call(value)
+
+
+_ANGLE = HolonomySpec.from_angles([0.25])
+_LOOP_GRID = TorusGridSpec(3, 4)
+
+INTEGER_ENTRY_POINTS = {
+    "fourier_truncation": ("truncation order", lambda n: fourier_truncation(_ANGLE, SpinStructure(), n)),
+    "truncation_from_angles": ("truncation order", lambda n: truncation_from_angles([0.25], 0.5, n)),
+    "truncation_spectrum": ("truncation order", lambda n: truncation_spectrum(_ANGLE, SpinStructure(), n, 40.0)),
+    "AlgebraContext": ("k", lambda n: AlgebraContext(n)),
+    "degree": ("generator index", lambda n: AlgebraContext(3).degree(n)),
+    "generator": ("generator index", lambda n: generator(AlgebraContext(3), n)),
+    "obstruction_product": ("generator index", lambda n: obstruction_product(AlgebraContext(3), [n])),
+    "CohomologyClass": ("generator index", lambda n: CohomologyClass(AlgebraContext(3), {(n,): 1})),
+    "character_coefficient": ("expansion index", character_coefficient),
+    "shift_levels": ("shift count k", lambda n: shift_levels(n, 1.0)),
+    "shift_deform_j": ("shift index j", lambda n: shift_deform(np.diag([0.1, 0.5]), n, 2, 0.4)),
+    "shift_deform_k": ("shift count k", lambda n: shift_deform(np.diag([0.1, 0.5]), 0, n, 0.4)),
+    "build_cover": ("shift count k", lambda n: build_cover(family_of([np.diag([0.1, 5.0])]), n, 0.3)),
+    "SampledFamily": ("family 'dim'", lambda n: SampledFamily(n, [])),
+    "coordinate_loop_axis": ("axis", lambda n: coordinate_loop(_LOOP_GRID, n, (0, 0, 0))),
+    "coordinate_loop_base": ("base index", lambda n: coordinate_loop(_LOOP_GRID, 0, (n, 0, 0))),
+    "SpectrumWindow": ("multiplicity", lambda n: SpectrumWindow(1.0, [(0.5, n)])),
+}
+NOT_INTEGERS = {"1.5": 1.5, "2.0": 2.0, "True": True, "np.True_": np.bool_(True), "'3'": "3"}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    # AlgebraContext already refused every non-integer but a bool
+    [(e, v) for e in sorted(INTEGER_ENTRY_POINTS) for v in NOT_INTEGERS if e != "AlgebraContext" or v == "True"],
+)
+def test_integer_arguments_refuse_bools_floats_and_strings(entry, value):
+    # each of these was accepted (and rounded, truncated or read as 1) or
+    # failed with a TypeError; a truncation order of 2.5 built a half-shifted ladder
+    name, call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match=f"{name} must be an integer >= "):
+        call(NOT_INTEGERS[value])
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert AlgebraContext(np.int64(3)) == AlgebraContext(3)
+    assert type(AlgebraContext(np.int64(3)).k) is int
+    h = HolonomySpec(np.int64(2), angles=[0.25, 0.5])
+    assert type(h.k) is int and h.to_json() == HolonomySpec(2, angles=[0.25, 0.5]).to_json()
+
+
+def test_crossing_guard_must_be_finite():
+    # an infinite eta passes every step: a closed path read 0 and an open
+    # one failed its endpoint gap
+    spec = TorusGridSpec(1, 8, truncation=2)
+    fam, path = ladder_family(8)
+    message = "crossing guard eta must be positive and finite, got inf"
+    for closed in (False, True):
+        with pytest.raises(ValidationError, match=message):
+            spectral_flow(fam, PathSpec(path.ids, closed=closed), math.inf)
+    with pytest.raises(ValidationError, match=message):
+        c1_pairing(spec, coordinate_loop(spec, 0, (0,)), eta=math.inf)
 
 
 def test_zeroth_shift_is_identity_map():

@@ -1,17 +1,12 @@
 """Grid orchestration: tautological family, verdicts, and loop pairing."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dirac_obstruction
 from dirac_obstruction import (
     BoundaryAmbiguityError,
     FamilyPoint,
@@ -93,6 +88,10 @@ def test_point_id_round_trip():
         parse_point_id("4_0_8", spec)
     with pytest.raises(ValidationError):
         parse_point_id("a_b_c", spec)
+    # int() reads each of these as 4_0_7, but no grid point has that id
+    for text in ("04_0_7", " 4_0_7", "+4_0_7", "4_0_\uff17"):
+        with pytest.raises(ValidationError, match="malformed grid point id"):
+            parse_point_id(text, spec)
 
 
 def test_tautological_family_smallest_grid():
@@ -620,12 +619,10 @@ def test_pairing_matches_dense_flow_on_lifted_family():
     }
 
 
-def test_pairing_ladder_budget_raises_before_allocating():
+def test_pairing_ladder_budget_raises_before_allocating(fresh_python):
     # a (S, 2N+1) ladder of 10**9 values would need gigabytes; under a 1 GB
     # address-space limit a missing budget check fails with a MemoryError
     script = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
         "from dirac_obstruction import TorusGridSpec, ValidationError, c1_pairing, coordinate_loop\n"
         "spec = TorusGridSpec(k=1, resolution=4, truncation=10**8)\n"
         "try:\n"
@@ -633,13 +630,7 @@ def test_pairing_ladder_budget_raises_before_allocating():
         "except ValidationError as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(dirac_obstruction.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    result = fresh_python(script, address_space=2**30)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == (
         "truncated spectrum of 1000000005 ladder values exceeds the 100000000 value limit; "
