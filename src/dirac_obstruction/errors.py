@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, and the checks on input numbers that raise them."""
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class DiracObstructionError(Exception):
@@ -42,6 +42,17 @@ def _check_int(name: str, value, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, Integral)) or value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """Return a Python or numpy real number as `float`.
+
+    Bools and strings are refused although `float()` reads them, so no
+    caller takes True or "1" for 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_positive(name: str, value: float) -> None:

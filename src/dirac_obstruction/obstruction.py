@@ -29,7 +29,7 @@ from .circle_dirac import (
     kernel_dim,
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
-from .errors import ValidationError, _check_int, _check_positive, _check_tol
+from .errors import ValidationError, _check_int, _check_positive, _check_real, _check_tol
 from .fredholm import (
     B_TOL,
     INV_TOL,
@@ -46,6 +46,8 @@ from .fredholm import (
 )
 
 MAX_GRID_POINTS = 10**6
+# Most targets x angles one ladder read holds; both the radii and the angles of a read are tiled to it.
+READ_BUDGET = 2**14
 
 
 def bounded_scalar(x: float) -> float:
@@ -66,6 +68,12 @@ class TorusGridSpec:
     def __post_init__(self) -> None:
         for name, low in (("k", 1), ("resolution", 2), ("truncation", 1)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
+        if not isinstance(self.spin, SpinStructure):
+            raise ValidationError(f"spin must be a SpinStructure, got {self.spin!r}")
+        # a truthy string such as "no" would otherwise pick the conjugated grid
+        if not isinstance(self.diagonal_only, (bool, np.bool_)):
+            raise ValidationError(f"diagonal_only must be a bool, got {self.diagonal_only!r}")
+        object.__setattr__(self, "diagonal_only", bool(self.diagonal_only))
         # m >= 2, so a rank past the cap's bit length exceeds the cap without
         # computing the power, whose digits grow with k
         if self.k > MAX_GRID_POINTS.bit_length() or self.resolution**self.k > MAX_GRID_POINTS:
@@ -257,9 +265,11 @@ class ObstructionVerdict:
         return "\n".join(lines) + "\n"
 
 
-def _window_counts(angles: np.ndarray, delta: float, n_modes: int, epsilon: float, bounded: bool):
-    """Window counts and the nearest value to an edge +-epsilon, per angle of a table.
+def _window_counts(angles: np.ndarray, delta: float, n_modes: int, epsilon, bounded: bool):
+    """Window counts and the nearest value to an edge +-epsilon, per radius and angle of a table.
 
+    `epsilon` is one radius or a column of R radii, whose shape leads the
+    results: a 1-d table gives (R, n) arrays from one read of the 2R edges.
     Every ladder ascends, so one read at both edges gives an angle's count
     as the rank of +epsilon (values below it) minus that of the float above
     -epsilon (values at or below -epsilon), and its value nearest to either
@@ -267,19 +277,21 @@ def _window_counts(angles: np.ndarray, delta: float, n_modes: int, epsilon: floa
     point's angles, both equal what `count_in_window` reads off the point's
     full k(2N+1) spectrum.
     """
-    edges = np.reshape([np.nextafter(-epsilon, math.inf), epsilon], (2,) + np.ndim(angles) * (1,))
+    eps = np.reshape(epsilon, np.shape(epsilon) + np.ndim(angles) * (1,))
+    edges = np.stack([np.nextafter(-eps, math.inf), eps])
     rank, lower, upper = _ladder_bracket(angles, delta, n_modes, edges, bounded=bounded)
-    edge_dist = np.minimum(np.abs(np.abs(lower) - epsilon), np.abs(np.abs(upper) - epsilon))
+    edge_dist = np.minimum(np.abs(np.abs(lower) - eps), np.abs(np.abs(upper) - eps))
     return rank[1] - rank[0], edge_dist.min(axis=0)
 
 
 def _level_distance(angles: np.ndarray, delta: float, n_modes: int, levels: Sequence[float], bounded: bool) -> np.ndarray:
     """Distance from each of the `levels` to the ladder of each angle of a table, levels first.
 
-    Minimised over a point's angles this is sigma_min of its operator
-    shifted by the level, attained at a rung around the level; lower <
-    level <= upper, so the two differences are the absolute values
-    `np.abs(spectra - level)` would hold.
+    The levels may be several radii's shift levels end to end; row j
+    answers level j alone.  Minimised over a point's angles this is
+    sigma_min of its operator shifted by the level, attained at a rung
+    around the level; lower < level <= upper, so the two differences are
+    the absolute values `np.abs(spectra - level)` would hold.
     """
     levels = np.reshape(levels, (-1,) + np.ndim(angles) * (1,))
     _, lower, upper = _ladder_bracket(angles, delta, n_modes, levels, bounded=bounded)
@@ -304,7 +316,7 @@ def verify_contrapositive(
     that misses the witness is a sampling caveat, and the verdict reports it
     as such through the per-radius entries.
     """
-    eps_list = [float(e) for e in epsilon_list]
+    eps_list = [_check_real("window radius", e) for e in epsilon_list]
     if not eps_list:
         raise ValidationError("need at least one window radius")
     for eps in eps_list:
@@ -317,62 +329,82 @@ def verify_contrapositive(
     product = obstruction_product(ctx, list(range(1, spec.k + 1)))
     nonzero = not product.is_zero()
 
-    # the mode blocks share each log's eigenbasis, so each radius reads the
-    # ladders of the grid's eigen-angles twice, at its window edges and at its
-    # shift levels, in chunks of about 2**14 targets x angles that keep the
-    # temporaries cache-sized.  The grid reduces the per-angle values to its
-    # maximum count, first point near an edge and cover: the diagonal grid off
-    # its m planted angles alone, the conjugated grid over each point's k angles
+    # the mode blocks share each log's eigenbasis, so the call reads the
+    # ladders of the grid's eigen-angles twice per block of radii, at their
+    # window edges and at their shift levels end to end.  A read holds at
+    # most READ_BUDGET targets x angles, which keeps its temporaries
+    # cache-sized: a block packs the consecutive radii whose targets fit
+    # against the whole table, and a radius whose targets alone overfill the
+    # budget is read by itself in angle slices.  The grid reduces each
+    # radius's per-angle values to its maximum count, first point near an
+    # edge and cover: the diagonal grid off its m planted angles alone, the
+    # conjugated grid over each point's k angles
     grid = _ProductGrid(spec) if spec.diagonal_only else _GatheredGrid(spec)
-    delta, n_modes = float(spec.spin.delta), spec.truncation
+    table, delta, n_modes = grid.table, float(spec.spin.delta), spec.truncation
+
+    def blocks(targets: Sequence[int]) -> list[slice]:
+        runs, start, total = [], 0, 0
+        for i, t in enumerate(targets):
+            if i > start and (total + t) * len(table) > READ_BUDGET:
+                runs.append(slice(start, i))
+                start, total = i, 0
+            total += t
+        return runs + [slice(start, len(targets))]
 
     def chunks(targets: int) -> list[slice]:
-        step = max(1, 2**14 // targets)
-        return [slice(i, i + step) for i in range(0, len(grid.table), step)]
+        step = max(1, READ_BUDGET // targets)
+        return [slice(i, i + step) for i in range(0, len(table), step)]
 
+    effective = [bounded_scalar(eps) if bounded else eps for eps in eps_list]
     reports: list[EpsilonReport] = []
-    for eps in eps_list:
-        effective = bounded_scalar(eps) if bounded else eps
-        per_angle, edge_per_angle = np.empty(len(grid.table), np.int64), np.empty(len(grid.table))
-        for c in chunks(2):
-            per_angle[c], edge_per_angle[c] = _window_counts(grid.table[c], delta, n_modes, effective, bounded)
-        flagged = grid.first_flagged(edge_per_angle <= b_tol)
-        if flagged is not None:
-            # the first offending point's own ladder raises with the usual message
-            point, angles = flagged
-            ladder = _mode_spectra(np.sort(angles), delta, n_modes)
-            count_in_window(
-                _bounded_values(ladder) if bounded else ladder,
-                effective,
-                b_tol=b_tol,
-                label=f"grid point {point_id(point)}",
-            )
-        max_count, best = grid.max_point(per_angle)
-        witness_angles = [i / spec.resolution for i in best]
-        wit_kernel = kernel_dim(
-            HolonomySpec(spec.k, angles=witness_angles), spec.spin, i_tol=i_tol
-        )
-        cover_ok: bool | None = None
+    for block in blocks([2] * len(eps_list)):
+        radii = effective[block]
+        per_angle, edge_per_angle = np.empty((len(radii), len(table)), np.int64), np.empty((len(radii), len(table)))
+        for c in chunks(2 * len(radii)):
+            per_angle[:, c], edge_per_angle[:, c] = _window_counts(table[c], delta, n_modes, radii, bounded)
+        maxima = []
+        # rows are indexed, not iterated: a row view left in a loop variable
+        # would keep this block's arrays alive through the next block's reads
+        for row, eps in enumerate(radii):
+            flagged = grid.first_flagged(edge_per_angle[row] <= b_tol)
+            if flagged is not None:
+                # the first offending point's own ladder raises with the usual message
+                point, angles = flagged
+                ladder = _mode_spectra(np.sort(angles), delta, n_modes)
+                count_in_window(
+                    _bounded_values(ladder) if bounded else ladder,
+                    eps,
+                    b_tol=b_tol,
+                    label=f"grid point {point_id(point)}",
+                )
+            maxima.append(grid.max_point(per_angle[row]))
+        covers: list[bool | None] = [None] * len(radii)
         if cover_check:
             # a point clears a level when every one of its angles does:
-            # min_j sigma_j > tol exactly when every sigma_j > tol
-            levels = shift_levels(max_count, effective)
-            safe = np.empty((len(levels), len(grid.table)), bool)
-            for c in chunks(len(levels)):
-                safe[:, c] = _safely_invertible(_level_distance(grid.table[c], delta, n_modes, levels, bounded), inv_tol)
-            cover_ok = grid.covered(safe)
-        reports.append(
-            EpsilonReport(
-                epsilon=eps,
-                effective_epsilon=effective,
-                max_count=max_count,
-                witness_id=point_id(best),
-                witness_coords=witness_angles,
-                witness_kernel_dim=wit_kernel,
-                cover_ok=cover_ok,
-                passed=max_count >= spec.k,
+            # min_j sigma_j > tol exactly when every sigma_j > tol.  The
+            # radii's levels are read end to end, split back per radius
+            levels = [shift_levels(max_count, eps) for (max_count, _), eps in zip(maxima, radii)]
+            for run in blocks([len(lv) for lv in levels]):
+                targets = [a for lv in levels[run] for a in lv]
+                safe = np.empty((len(targets), len(table)), bool)
+                for c in chunks(len(targets)):
+                    safe[:, c] = _safely_invertible(_level_distance(table[c], delta, n_modes, targets, bounded), inv_tol)
+                ends = np.cumsum([len(lv) for lv in levels[run]])[:-1]
+                covers[run] = [grid.covered(rows) for rows in np.split(safe, ends)]
+        for eps, effective_eps, (max_count, best), cover_ok in zip(eps_list[block], radii, maxima, covers):
+            witness_angles = [i / spec.resolution for i in best]
+            reports.append(
+                EpsilonReport(
+                    epsilon=eps,
+                    effective_epsilon=effective_eps,
+                    max_count=max_count,
+                    witness_id=point_id(best),
+                    witness_coords=witness_angles,
+                    witness_kernel_dim=kernel_dim(HolonomySpec(spec.k, angles=witness_angles), spec.spin, i_tol=i_tol),
+                    cover_ok=cover_ok,
+                    passed=max_count >= spec.k,
+                )
             )
-        )
 
     return ObstructionVerdict(
         k=spec.k,

@@ -1,6 +1,7 @@
 """Grid orchestration: tautological family, verdicts, and loop pairing."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from dirac_obstruction.circle_dirac import _block_truncation, _ladder_bracket, _
 from dirac_obstruction.fredholm import AMBIGUITY_DECADE, B_TOL, INV_TOL, _bounded_values
 from dirac_obstruction.obstruction import (
     MAX_GRID_POINTS,
+    READ_BUDGET,
     _grid_logs,
     _level_distance,
     _window_counts,
@@ -76,6 +78,26 @@ def test_grid_spec_fields_must_be_integers(name, value):
     fields = {"k": 2, "resolution": 4, "truncation": 3, name: value}
     with pytest.raises(ValidationError, match=f"{name} must be an integer"):
         TorusGridSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("spin", "1/2", "spin must be a SpinStructure"),
+        ("spin", 0, "spin must be a SpinStructure"),
+        ("spin", Fraction(1, 2), "spin must be a SpinStructure"),
+        ("diagonal_only", "no", "diagonal_only must be a bool"),
+        ("diagonal_only", 0, "diagonal_only must be a bool"),
+        ("diagonal_only", None, "diagonal_only must be a bool"),
+    ],
+)
+def test_grid_spec_spin_and_grid_choice_are_typed(name, value, message):
+    # a string spin used to fail later with AttributeError, and a truthy
+    # string such as "no" used to pick the conjugated grid
+    with pytest.raises(ValidationError, match=message):
+        TorusGridSpec(1, 4, **{name: value})
+    spec = TorusGridSpec(1, 4, ZERO, diagonal_only=np.False_)
+    assert spec.diagonal_only is False and spec == TorusGridSpec(1, 4, ZERO, diagonal_only=False)
 
 
 def test_point_id_round_trip():
@@ -250,26 +272,109 @@ def test_verify_builds_no_grid_ladder(monkeypatch, diagonal_only):
 
 
 def test_verify_reads_each_table_angle_once_per_target(monkeypatch):
-    # per radius one read at the two window edges and one at the k+1 cover
-    # levels, each covering every entry of the angle table once per target:
-    # the diagonal grid's m planted angles, or the conjugated grid's k*P
-    # eigen-angles, never once per point and angle
+    # per block of radii one read at their window edges and one at their
+    # cover levels end to end, each covering every entry of the angle table
+    # once per target: the diagonal grid's m planted angles, or the
+    # conjugated grid's k*P eigen-angles, never once per point and angle.
+    # No read holds more than READ_BUDGET targets x angles
     seen = {}
 
     def spy(angles, delta, n_modes, targets, **kwargs):
+        assert np.size(targets) * np.size(angles) <= READ_BUDGET
         key = tuple(np.ravel(targets))
         seen[key] = seen.get(key, 0) + np.size(angles)
         return _ladder_bracket(angles, delta, n_modes, targets, **kwargs)
 
+    def edges(radii):
+        return tuple(np.nextafter(-np.array(radii), math.inf)) + tuple(radii)
+
+    def levels(max_count, radii):
+        return tuple(a for r in radii for a in shift_levels(max_count, r))
+
     monkeypatch.setattr(obstruction, "_ladder_bracket", spy)
-    edges = (np.nextafter(-0.7, math.inf), 0.7)
+    # every radius has max_count 3 on the k = 3 grid, whose table fits the
+    # budget many times: the radii share one read per stage
+    radii = [0.7, 0.35, 2.0, 0.05]
     for diagonal_only, entries in ((True, 6), (False, 3 * 6**3)):
         spec = TorusGridSpec(k=3, resolution=6, truncation=3, diagonal_only=diagonal_only)
-        for cover_check, reads in ((True, [edges, tuple(shift_levels(3, 0.7))]), (False, [edges])):
-            seen.clear()
-            assert verify_contrapositive(spec, [0.7], cover_check=cover_check).passed
-            assert list(seen) == reads
-            assert set(seen.values()) == {entries}
+        for batch in ([0.7], radii):
+            for cover_check, reads in ((True, [edges(batch), levels(3, batch)]), (False, [edges(batch)])):
+                seen.clear()
+                assert verify_contrapositive(spec, batch, cover_check=cover_check).passed
+                assert list(seen) == reads
+                assert set(seen.values()) == {entries}
+    # a table whose two edges alone overfill the budget is read one radius
+    # at a time, in angle slices; k = 1 puts one rung in every window here
+    spec = TorusGridSpec(k=1, resolution=2**13 + 1, truncation=3)
+    seen.clear()
+    assert verify_contrapositive(spec, radii).passed
+    assert list(seen) == [read for r in radii for read in (edges([r]), levels(1, [r]))]
+    assert set(seen.values()) == {2**13 + 1}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TorusGridSpec(3, 24, truncation=4),  # every radius in one read
+        TorusGridSpec(2, 1000, ZERO, truncation=3),  # 8 radii per edge read
+        TorusGridSpec(1, 3000, truncation=6),  # 2 radii per edge read; many levels read alone, sliced
+        TorusGridSpec(1, 9000, ZERO, truncation=2),  # one radius per read, sliced
+        TorusGridSpec(2, 40, truncation=3, diagonal_only=False),  # 2 radii per edge read
+        TorusGridSpec(3, 12, ZERO, truncation=2, diagonal_only=False),  # one radius per read
+    ],
+    ids=lambda spec: f"{'diag' if spec.diagonal_only else 'conj'}_k{spec.k}_m{spec.resolution}",
+)
+def test_verify_batched_radii_match_one_radius_calls(spec):
+    # reading radii together changes no report: each equals the report of a
+    # call with that radius alone, over lists that span several blocks.  The
+    # wide inv_tol fails some covers, so a level row split back to the wrong
+    # radius shows
+    rng = np.random.default_rng([spec.k, spec.resolution, spec.diagonal_only])
+    radii = (10 ** rng.uniform(-2.5, 1.3, size=19)).tolist()
+    for bounded in (False, True):
+        for cover_check, inv_tol in ((False, INV_TOL), (True, INV_TOL), (True, 3e-3)):
+            options = {"bounded": bounded, "cover_check": cover_check, "inv_tol": inv_tol}
+            verdict = verify_contrapositive(spec, radii, **options)
+            alone = [verify_contrapositive(spec, [r], **options).reports[0] for r in radii]
+            assert verdict.reports == alone
+            assert verdict.passed == all(r.passed for r in alone)
+            if inv_tol > INV_TOL:
+                assert {r.cover_ok for r in alone} == {True, False}
+
+
+@pytest.mark.parametrize("spec", [TorusGridSpec(2, 6), TorusGridSpec(1, 2**13 + 1, truncation=2)], ids=["one_read", "per_radius"])
+def test_verify_first_radius_on_a_rung_raises(spec):
+    # radii on rungs of different angles flag different points; whether the
+    # radii share a read or not, the first in input order raises its own message
+    m, delta = spec.resolution, float(spec.spin.delta)
+    on_rung = [abs(2 * math.pi * (-1 + delta + i / m)) for i in (1, m // 3)]
+    messages = []
+    for r in on_rung:
+        with pytest.raises(BoundaryAmbiguityError, match="at grid point ") as alone:
+            verify_contrapositive(spec, [r])
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    for first, second in (on_rung, on_rung[::-1]):
+        with pytest.raises(BoundaryAmbiguityError) as batched:
+            verify_contrapositive(spec, [0.05, first, 0.3, second])
+        assert str(batched.value) == messages[on_rung.index(first)]
+
+
+def test_verify_memory_does_not_grow_with_the_radii():
+    # each stage reads one tile of radii x angles at a time, so 200 radii peak
+    # like 10 do; the reports themselves take about 300 bytes a radius
+    spec = TorusGridSpec(1, 2**12)
+    radii = (10 ** np.random.default_rng(3).uniform(-2, 1, size=200)).tolist()
+    verify_contrapositive(spec, radii[:2])
+    peaks = {}
+    for count in (10, 200):
+        tracemalloc.start()
+        try:
+            assert verify_contrapositive(spec, radii[:count]).passed
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] < 1.25 * peaks[10]
 
 
 def test_pairing_builds_no_matrix(monkeypatch):
@@ -390,6 +495,12 @@ def test_verify_rejects_bad_radii():
         verify_contrapositive(spec, [])
     with pytest.raises(ValidationError):
         verify_contrapositive(spec, [0.5, -1.0])
+    # float() would read these as 1.0; the error names the offending radius
+    for bad in (True, np.True_, "1", b"1", None, 1 + 0j):
+        with pytest.raises(ValidationError, match=re.escape(f"window radius must be a real number, got {bad!r}")):
+            verify_contrapositive(spec, [0.5, bad])
+    reals = verify_contrapositive(spec, [np.float32(0.5), np.int64(1), 2, Fraction(1, 4)]).to_json()
+    assert reals == verify_contrapositive(spec, [0.5, 1.0, 2.0, 0.25]).to_json()
 
 
 @pytest.mark.parametrize("bounded", [False, True])
