@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError, _check_int, _check_positive, _check_tol
+from .errors import ValidationError, _check_int, _check_real
 from .fredholm import _bounded_values, _matrix_from_json, _matrix_to_json, _spectral_matrix
 
 # Unitarity of the holonomy, ||U U* - I|| in operator norm.
@@ -43,8 +43,8 @@ AngleLike = Union[int, float, Fraction, str]
 def _to_angle(value: AngleLike) -> float:
     """Coerce an angle given as number, Fraction or 'p/q' string to [0, 1)."""
     try:
-        a = float(Fraction(value) if isinstance(value, str) else value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        a = float(Fraction(value)) if isinstance(value, str) else _check_real("angle", value, positive=None)
+    except (ValidationError, ValueError, OverflowError, ZeroDivisionError):
         a = math.nan  # rejected below together with the non-finite numbers
     if not math.isfinite(a):
         raise ValidationError(f"angle must be a finite number or 'p/q' string, got {value!r}")
@@ -65,6 +65,8 @@ class SpinStructure:
 
     def __post_init__(self) -> None:
         try:
+            if isinstance(self.delta, (bool, np.bool_)):
+                raise TypeError  # Fraction(False) would read a bool as the periodic structure
             d = Fraction(self.delta)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise ValidationError(f"spin phase exponent must be 0 or 1/2, got {self.delta!r}") from None
@@ -153,7 +155,7 @@ class SpectrumWindow:
     eigenvalues: list[tuple[float, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        _check_positive("window radius", self.epsilon)
+        self.epsilon = _check_real("window radius", self.epsilon)
         prev = None
         for value, mult in self.eigenvalues:
             if abs(value) >= self.epsilon:
@@ -183,7 +185,7 @@ class SpectrumWindow:
 
 def cluster_values(values: Sequence[float], c_tol: float = C_TOL) -> list[tuple[float, int]]:
     """Group sorted values into multiplicity clusters split at gaps > c_tol."""
-    _check_tol("c_tol", c_tol)
+    c_tol = _check_real("c_tol", c_tol, positive=False)
     ordered = sorted(float(v) for v in values)
     clusters: list[tuple[float, int]] = []
     group: list[float] = []
@@ -219,8 +221,8 @@ def _unitary_eigensystem(matrix: np.ndarray, u_tol: float, r_tol: float):
     basis is an eigenbasis.  Each pair is checked against the residual bound
     r_tol.
     """
-    _check_tol("u_tol", u_tol)
-    _check_tol("r_tol", r_tol)
+    u_tol = _check_real("u_tol", u_tol, positive=False)
+    r_tol = _check_real("r_tol", r_tol, positive=False)
     _require_unitary(matrix, u_tol)
     eigenvalues, vectors = np.linalg.eig(matrix)
     z, _ = np.linalg.qr(vectors)
@@ -264,7 +266,7 @@ def analytic_spectrum(
     c_tol: float = C_TOL,
 ) -> SpectrumWindow:
     """Closed-form window spectrum { 2*pi*(n + delta + theta_j) } cap (-eps, eps)."""
-    _check_positive("window radius", epsilon)
+    epsilon = _check_real("window radius", epsilon)
     quantum = 2.0 * math.pi
     delta = float(s.delta)
     modes = []
@@ -287,7 +289,7 @@ def kernel_dim(
     i_tol: float = I_TOL,
 ) -> int:
     """Number of angles with theta_j + delta integral, i.e. the zero modes."""
-    _check_tol("i_tol", i_tol)
+    i_tol = _check_real("i_tol", i_tol, positive=False)
     delta = float(s.delta)
     count = 0
     for theta in holonomy_angles(h, u_tol=u_tol, r_tol=r_tol):
@@ -444,7 +446,7 @@ def truncation_spectrum(
     eigenbasis of the log, so its spectrum is the ladder
     2*pi*(n + delta + theta_j), |n| <= N; no block is built or diagonalized.
     """
-    _check_positive("window radius", epsilon)
+    epsilon = _check_real("window radius", epsilon)
     n_modes = _check_int("truncation order", n_modes, 1)
     _check_ladder(h.k * (2 * n_modes + 1))
     angles = np.asarray(holonomy_angles(h, u_tol=u_tol, r_tol=r_tol))

@@ -26,7 +26,7 @@ from .circle_dirac import (
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
 from .errors import DiracObstructionError, ValidationError
-from .fredholm import B_TOL, H_TOL, INV_TOL, PathSpec, SampledFamily, _load_json, build_cover, spectral_flow
+from .fredholm import AMBIGUITY_DECADE, B_TOL, H_TOL, INV_TOL, PathSpec, SampledFamily, _load_json, build_cover, spectral_flow
 from .obstruction import TorusGridSpec, verify_contrapositive
 
 EXIT_OK = 0
@@ -160,9 +160,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(_dump_json(doc), args.output)
     if not verdict.passed:
         return EXIT_NEGATIVE
-    if any(r.cover_ok is False for r in verdict.reports):
-        # counts pass but the pigeonhole cover failed: numerically inconsistent
-        print("error: cover cross-check failed despite passing counts", file=sys.stderr)
+    failed = [r for r in verdict.reports if r.cover_ok is False]
+    if failed:
+        # counts pass but the pigeonhole cover failed: numerically inconsistent, unless
+        # one eigenvalue's ambiguity band, 10*inv_tol either side, reaches two shift levels
+        message = "error: cover cross-check failed despite passing counts"
+        for r in failed:
+            spacing = r.effective_epsilon / (r.max_count + 1)
+            if spacing <= 2 * AMBIGUITY_DECADE * args.inv_tol:
+                message += (
+                    f"; at epsilon {r.epsilon} the shift-level spacing {spacing} is at most "
+                    f"20*inv_tol (inv_tol = {args.inv_tol}), so one eigenvalue can block two levels"
+                )
+                break
+        print(message, file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK
 

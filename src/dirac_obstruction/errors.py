@@ -44,24 +44,20 @@ def _check_int(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _check_real(name: str, value) -> float:
-    """Return a Python or numpy real number as `float`.
+def _check_real(name: str, value, *, positive: bool | None = True) -> float:
+    """Return a Python or numpy real number as `float`; bools and strings, which `float()` reads, are refused.
 
-    Bools and strings are refused although `float()` reads them, so no
-    caller takes True or "1" for 1.0.
+    A radius (`positive=True`) must then be positive and finite, a tolerance
+    (`positive=False`) non-negative and finite; `positive=None` checks the type alone.
     """
     if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Reject a value that is not a positive finite number, nan included."""
-    if not 0.0 < value < math.inf:
+    try:
+        x = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        x = math.inf
+    if positive and not 0.0 < x < math.inf:
         raise ValidationError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_tol(name: str, value: float) -> None:
-    """Reject a tolerance that is negative, infinite or nan; any of them would silently weaken its guard."""
-    if not 0.0 <= value < math.inf:
+    if positive is False and not 0.0 <= x < math.inf:
         raise ValidationError(f"{name} must be non-negative and finite, got {value}")
+    return x

@@ -13,7 +13,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .errors import (
     RefinementRequiredError,
     ValidationError,
     _check_int,
-    _check_positive,
-    _check_tol,
+    _check_real,
 )
 
 # Hermitian deviation max|A - A*| tolerated before rejecting; accepted inputs
@@ -41,7 +40,7 @@ AMBIGUITY_DECADE = 10.0
 
 def require_hermitian(matrix, h_tol: float = H_TOL, what: str = "matrix") -> np.ndarray:
     """Validate Hermitian-ness within h_tol and return the symmetrized copy."""
-    _check_tol("h_tol", h_tol)
+    h_tol = _check_real("h_tol", h_tol, positive=False)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
@@ -113,7 +112,7 @@ def bounded_transform(matrix, *, h_tol: float = H_TOL) -> np.ndarray:
 def shift_levels(k: int, epsilon: float) -> list[float]:
     """The k+1 equispaced shift levels j * epsilon / (k + 1), j = 0..k."""
     k = _check_int("shift count k", k, 0)
-    _check_positive("window radius", epsilon)
+    epsilon = _check_real("window radius", epsilon)
     return [j * epsilon / (k + 1) for j in range(k + 1)]
 
 
@@ -135,7 +134,8 @@ def shift_deform(matrix, j: int, k: int, epsilon: float, *, h_tol: float = H_TOL
     The kernel of the result is the eigenspace of the input at the level
     j * epsilon / (k + 1).
     """
-    if not 0.0 < epsilon < 1.0:
+    eps = _check_real("epsilon", epsilon, positive=None)
+    if not 0.0 < eps < 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     j, k = _check_int("shift index j", j, 0), _check_int("shift count k", k, 0)
     if j > k:
@@ -147,43 +147,32 @@ def shift_deform(matrix, j: int, k: int, epsilon: float, *, h_tol: float = H_TOL
             f"operator norm {float(np.abs(w).max()):.6g} exceeds 1; "
             "apply bounded_transform first"
         )
-    return _spectral_matrix(v, _shift_map(w, j * epsilon / (k + 1)))
+    return _spectral_matrix(v, _shift_map(w, j * eps / (k + 1)))
 
 
-def count_in_window(
-    eigenvalues,
-    epsilon: float,
-    *,
-    b_tol: float = B_TOL,
-    label: str | Callable[[int], str] = "",
-) -> int | np.ndarray:
-    """Count values strictly inside (-epsilon, epsilon) along the last axis.
+def count_in_window(eigenvalues, epsilon: float, *, b_tol: float = B_TOL, label: str = "") -> int:
+    """Count the values of a 1-d spectrum strictly inside (-epsilon, epsilon).
 
     Raises BoundaryAmbiguityError when a value sits within b_tol of either
     edge: the open-interval count could flip under perturbation, so the
-    caller must move epsilon instead of trusting a side.  A 1-d spectrum
-    gives an int; a stack of spectra gives one count per row, and the error
-    names the first offending row in C order, through `label(row)` when
-    `label` is callable.
+    caller must move epsilon instead of trusting a side.  A nonempty `label`
+    names the spectrum in that error.
     """
-    _check_positive("window radius", epsilon)
-    _check_tol("b_tol", b_tol)
+    epsilon = _check_real("window radius", epsilon)
+    b_tol = _check_real("b_tol", b_tol, positive=False)
     w = np.asarray(eigenvalues, dtype=float)
+    if w.ndim != 1:
+        raise ValidationError(f"spectrum must be 1-d, got shape {w.shape}")
     if w.size:
-        rows = w.reshape(-1, w.shape[-1])
-        edge_dist = np.abs(np.abs(rows) - epsilon)
-        near = edge_dist.min(axis=1) <= b_tol
-        if near.any():
-            row = int(np.argmax(near))
-            nearest = int(np.argmin(edge_dist[row]))
-            name = label(row) if callable(label) else label
-            where = f" at {name}" if name else ""
+        edge_dist = np.abs(np.abs(w) - epsilon)
+        nearest = int(np.argmin(edge_dist))
+        if edge_dist[nearest] <= b_tol:
+            where = f" at {label}" if label else ""
             raise BoundaryAmbiguityError(
-                f"eigenvalue {rows[row, nearest]:.17g}{where} lies within {b_tol:.1e} of the "
+                f"eigenvalue {w[nearest]:.17g}{where} lies within {b_tol:.1e} of the "
                 f"window edge +-{epsilon:.17g}; perturb epsilon"
             )
-    counts = np.count_nonzero(np.abs(w) < epsilon, axis=-1)
-    return int(counts) if w.ndim <= 1 else counts
+    return int(np.count_nonzero(np.abs(w) < epsilon))
 
 
 def spectral_count(matrix, epsilon: float, *, h_tol: float = H_TOL, b_tol: float = B_TOL) -> int:
@@ -335,7 +324,8 @@ def build_cover(fam: SampledFamily, k: int, epsilon: float, *, inv_tol: float = 
     k = _check_int("shift count k", k, 0)
     if k > fam.dim:
         raise ValidationError(f"shift count k = {k} exceeds the family dimension {fam.dim}")
-    _check_tol("inv_tol", inv_tol)
+    inv_tol = _check_real("inv_tol", inv_tol, positive=False)
+    epsilon = _check_real("window radius", epsilon)
     ops = np.array([p.op for p in fam.points], dtype=complex).reshape(-1, fam.dim, fam.dim)
     spectra = np.linalg.eigvalsh(ops)
     # sigma_min of A - a_j I for every point (rows) and shift level (columns)
@@ -383,7 +373,7 @@ def spectral_flow(fam: SampledFamily, path: PathSpec, eta: float) -> int:
     stable.
     """
     ops = {i: fam.point(i).op for i in path.ids}
-    _check_positive("crossing guard eta", eta)
+    eta = _check_real("crossing guard eta", eta)
     for a, b in path.steps():
         delta = ops[b] - ops[a]
         # Frobenius dominates the 2-norm: only steps it does not pass pay for the exact 2-norm

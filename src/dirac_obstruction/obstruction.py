@@ -29,7 +29,7 @@ from .circle_dirac import (
     kernel_dim,
 )
 from .cohomology import AlgebraContext, format_class, obstruction_product
-from .errors import ValidationError, _check_int, _check_positive, _check_real, _check_tol
+from .errors import ValidationError, _check_int, _check_real
 from .fredholm import (
     B_TOL,
     INV_TOL,
@@ -319,10 +319,9 @@ def verify_contrapositive(
     eps_list = [_check_real("window radius", e) for e in epsilon_list]
     if not eps_list:
         raise ValidationError("need at least one window radius")
-    for eps in eps_list:
-        _check_positive("window radius", eps)
-    for name, tol in (("b_tol", b_tol), ("inv_tol", inv_tol), ("i_tol", i_tol)):
-        _check_tol(name, tol)
+    b_tol = _check_real("b_tol", b_tol, positive=False)
+    inv_tol = _check_real("inv_tol", inv_tol, positive=False)
+    i_tol = _check_real("i_tol", i_tol, positive=False)
     _check_ladder(spec.resolution**spec.k * spec.dim)
 
     ctx = AlgebraContext(spec.k)
@@ -464,7 +463,7 @@ def c1_pairing(spec: TorusGridSpec, loop: PathSpec, *, eta: float | None = None)
     _check_ladder(len(moves) * spec.dim, remedy="lower the truncation order or shorten the loop")
     if eta is None:
         eta = 3.0 * math.pi / m  # 1.5x the exact grid step norm 2*pi/m
-    _check_positive("crossing guard eta", eta)
+    eta = _check_real("crossing guard eta", eta)
     # a step's diagonal difference has 2-norm max|delta rung|; the rungs of
     # every angle but the moving one repeat bit for bit, so the moving
     # angle's (S-1, 2N+1) rungs give the norm and no (S, k(2N+1)) ladder is built

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -47,11 +48,18 @@ def test_spin_structure_accepts_only_the_two_values():
         SpinStructure(Fraction(1, 3))
     with pytest.raises(ValidationError):
         SpinStructure.parse("0.3")
+    assert SpinStructure(np.float64(0.5)).delta == Fraction(1, 2)
+    assert SpinStructure(np.int64(0)).delta == 0
+    # Fraction(False) is 0, the periodic structure
+    for bad in (False, True, np.False_):
+        with pytest.raises(ValidationError, match=re.escape(f"spin phase exponent must be 0 or 1/2, got {bad!r}")):
+            SpinStructure(bad)
 
 
 def test_angles_normalize_to_unit_interval():
     h = HolonomySpec.from_angles(["1/2", 0.25, Fraction(3, 4), -0.25, 1.75])
     assert h.angles == [0.5, 0.25, 0.75, 0.75, 0.75]
+    assert HolonomySpec.from_angles([np.float32(0.25), np.int64(3)]).angles == [0.25, 0.0]
 
 
 def test_holonomy_requires_exactly_one_form():
@@ -318,7 +326,8 @@ def test_holonomy_json_keeps_signed_zeros_and_rejects_non_finite():
 
 
 def test_angles_reject_non_finite_and_malformed_values():
-    for bad in (math.nan, math.inf, "nan", "abc", "1e400", "1/0", None, [0.5]):
+    # float() reads a bool as angle 0 or 1
+    for bad in (math.nan, math.inf, "nan", "abc", "1e400", "1/0", None, [0.5], True, False, np.True_):
         with pytest.raises(ValidationError, match="finite number"):
             HolonomySpec.from_angles([bad])
 

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dirac_obstruction import FamilyPoint, HolonomySpec, SampledFamily, truncation_from_angles
+from dirac_obstruction import cli
 from dirac_obstruction.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -423,6 +425,38 @@ def test_verify_failing_grid_exit_three(capsys):
     code, out, _ = run_cli(capsys, "verify", "--k", "1", "--resolution", "3", "--epsilons", "0.1")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_cover_fail_from_a_wide_inv_tol_names_the_radius(capsys):
+    # the kernel rung at 0 sits within 10*inv_tol = 1 of both levels 0 and 1
+    # of epsilon 2, so the cover fails for the tolerance and not the count
+    code, out, err = run_cli(
+        capsys, "verify", "--k", "1", "--resolution", "3", "--delta", "0", "--truncation", "1",
+        "--epsilons", "5,2", "--inv-tol", "0.1", "--output", os.devnull,
+    )
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "5        2          1        0           ok     pass",
+        "2        1          0        1           FAIL   pass",
+    ]
+    assert err == (
+        "error: cover cross-check failed despite passing counts; at epsilon 2.0 the shift-level "
+        "spacing 1.0 is at most 20*inv_tol (inv_tol = 0.1), so one eigenvalue can block two levels\n"
+    )
+
+
+def test_verify_cover_fail_with_a_narrow_inv_tol_names_no_radius(capsys, monkeypatch):
+    real = cli.verify_contrapositive
+
+    def failing_cover(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        for report in verdict.reports:
+            report.cover_ok = False
+        return verdict
+
+    monkeypatch.setattr(cli, "verify_contrapositive", failing_cover)
+    code, _, err = run_cli(capsys, "verify", "--k", "1", "--resolution", "8", "--epsilons", "0.1", "--output", os.devnull)
+    assert (code, err) == (2, "error: cover cross-check failed despite passing counts\n")
 
 
 def test_verify_boundary_eigenvalue_names_first_grid_point(capsys):

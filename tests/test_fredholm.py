@@ -3,6 +3,8 @@
 import gc
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,7 +147,7 @@ WINDOW_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0, 10**400], ids=["nan", "inf", "zero", "negative", "past_float"])
 @pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
 def test_window_radius_must_be_positive_and_finite(entry, epsilon):
     # nan compares false both ways, so only 0 < epsilon < inf rejects it
@@ -172,7 +174,7 @@ TOLERANCE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, 10**400], ids=["nan", "negative", "inf", "past_float"])
 @pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
 def test_tolerances_must_be_non_negative_and_finite(entry, value):
     # a nan, negative or infinite tolerance would silently weaken its guard:
@@ -182,6 +184,75 @@ def test_tolerances_must_be_non_negative_and_finite(entry, value):
     name, call = TOLERANCE_ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match=f"{name} must be non-negative and finite, got"):
         call(value)
+
+
+_ROTATION = [[0, -1], [1, 0]]
+_FLOW_GRID = TorusGridSpec(1, 8, truncation=2)
+
+# every real-valued argument: the name its refusal gives, a value it accepts, and a call that reads it
+REAL_ARGUMENTS = {
+    "SpectrumWindow": ("window radius", 1, lambda x: SpectrumWindow(x, [(0.25, 1)])),
+    "analytic_spectrum": ("window radius", 1, lambda x: analytic_spectrum(HolonomySpec.from_angles([0.01]), SpinStructure(0), x)),
+    "truncation_spectrum": (
+        "window radius",
+        1,
+        lambda x: truncation_spectrum(HolonomySpec.from_angles([0.01]), SpinStructure(0), 2, x),
+    ),
+    "shift_levels": ("window radius", 1, lambda x: shift_levels(2, x)),
+    "shift_deform": ("epsilon", 0.5, lambda x: shift_deform(np.diag([0.1, 0.5]), 1, 2, x)),
+    "count_in_window": ("window radius", 1, lambda x: count_in_window([0.1, 0.3, 5.0], x)),
+    "count_in_window_b_tol": ("b_tol", 1, lambda x: count_in_window([0.1, 0.3], 3.0, b_tol=x)),
+    "build_cover": ("window radius", 1, lambda x: build_cover(family_of([np.diag([0.1, 5.0])]), 1, x)),
+    "build_cover_inv_tol": ("inv_tol", 1, lambda x: build_cover(family_of([np.diag([0.1, 5.0])]), 1, 1.0, inv_tol=x)),
+    "kernel_dim": ("i_tol", 1, lambda x: kernel_dim(HolonomySpec.from_angles([0.3]), SpinStructure(0), i_tol=x)),
+    "require_hermitian": ("h_tol", 1, lambda x: require_hermitian([[0, 1], [0.5, 0]], x)),
+    "SampledFamily": ("h_tol", 1, lambda x: SampledFamily(2, [FamilyPoint("a", np.array([[0, 1], [0.5, 0]]))], h_tol=x)),
+    "cluster_values": ("c_tol", 1, lambda x: cluster_values([0, 0.3, 1, 3.5], c_tol=x)),
+    "holonomy_u_tol": ("u_tol", 1, lambda x: holonomy_angles(HolonomySpec.from_matrix(_ROTATION), u_tol=x)),
+    "holonomy_r_tol": ("r_tol", 1, lambda x: holonomy_angles(HolonomySpec.from_matrix(_ROTATION), r_tol=x)),
+    "spectral_flow": ("crossing guard eta", 1, lambda x: spectral_flow(*ladder_family(8), x)),
+    "c1_pairing": ("crossing guard eta", 1, lambda x: c1_pairing(_FLOW_GRID, coordinate_loop(_FLOW_GRID, 0, (0,)), eta=x)),
+    "verify": ("window radius", 1, lambda x: verify_contrapositive(TorusGridSpec(1, 4), [0.5, x])),
+    "verify_b_tol": ("b_tol", 1, lambda x: verify_contrapositive(TorusGridSpec(1, 2, truncation=1), [math.pi / 2], b_tol=x)),
+    "verify_inv_tol": ("inv_tol", 1, lambda x: verify_contrapositive(TorusGridSpec(1, 4), [0.7], inv_tol=x)),
+    "verify_i_tol": ("i_tol", 1, lambda x: verify_contrapositive(TorusGridSpec(1, 4), [0.7], i_tol=x)),
+}
+NOT_REALS = {"True": True, "np.True_": np.True_, "'1'": "1", "None": None, "1+0j": 1 + 0j}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    # c1_pairing reads eta=None as its default guard
+    [(e, v) for e in sorted(REAL_ARGUMENTS) for v in sorted(NOT_REALS) if e != "c1_pairing" or v != "None"],
+)
+def test_real_arguments_refuse_bools_strings_and_complex(entry, value):
+    # float() reads True and "1" as 1.0; all of these but verify's radii
+    # once took True (inv_tol=True failed every cover) and raised a bare
+    # TypeError for "1"
+    name, _, call = REAL_ARGUMENTS[entry]
+    bad = NOT_REALS[value]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be a real number, got {bad!r}")):
+        call(bad)
+
+
+def _plain(out) -> str:
+    """Text of a result in which a numpy scalar or Fraction left where a float belongs shows."""
+    if isinstance(out, np.ndarray):
+        out = out.tolist()
+    elif hasattr(out, "to_json"):
+        out = out.to_json()
+    return repr(out)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ARGUMENTS))
+def test_real_arguments_read_numpy_reals_and_fractions_as_floats(entry):
+    _, value, call = REAL_ARGUMENTS[entry]
+    expected = _plain(call(float(value)))
+    equal = [np.float32(value), np.float64(value), Fraction(value)]
+    if float(value).is_integer():
+        equal += [int(value), np.int64(value)]
+    for x in equal:
+        assert _plain(call(x)) == expected, repr(x)
 
 
 _ANGLE = HolonomySpec.from_angles([0.25])
@@ -342,14 +413,11 @@ def test_count_boundary_ambiguity_raises():
     assert count_in_window([], 1.0) == 0
 
 
-def test_count_in_window_per_row_of_a_stack():
-    stack = np.array([[0.5, 2.0], [0.1, -0.2], [3.0, 4.0]])
-    assert count_in_window(stack, 1.0).tolist() == [1, 2, 0]
-    # the error names the first offending row in C order
-    stack[1, 1] = -1.0
-    stack[2, 0] = 1.0
-    with pytest.raises(BoundaryAmbiguityError, match="-1 at row 1 lies"):
-        count_in_window(stack, 1.0, label=lambda row: f"row {row}")
+def test_count_in_window_refuses_all_but_one_spectrum():
+    # a stack of spectra would otherwise count along its last axis alone
+    for shape in [(), (3, 2), (1, 0)]:
+        with pytest.raises(ValidationError, match=re.escape(f"spectrum must be 1-d, got shape {shape}")):
+            count_in_window(np.full(shape, 0.5), 1.0)
 
 
 # ---------------------------------------------------------------- families

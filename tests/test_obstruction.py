@@ -435,7 +435,7 @@ def test_ladder_brackets_match_the_full_ladder(delta, n_modes, bounded):
         assert np.array_equal(edge, np.abs(np.abs(spectra) - effective).min(axis=1))
         for b_tol in (B_TOL, 0.0):
             try:
-                full = count_in_window(spectra, effective, b_tol=b_tol)
+                full = [count_in_window(row, effective, b_tol=b_tol) for row in spectra]
             except BoundaryAmbiguityError:
                 full = None
             assert (edge <= b_tol).any() == (full is None)
